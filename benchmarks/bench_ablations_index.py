@@ -11,11 +11,6 @@ indexing/ranking effects are isolated from tagger quality):
   of Algorithm 1;
 * **similarity thresholds** — a θ_index sweep (Section 7 flags dynamic
   thresholds as future work).
-
-Plus the **index benchmark** (shared with ``repro bench-index``): scalar
-oracle vs vectorized backend, sharded lookup cells vs the dense legacy
-combine, snapshot warm-start timing, and search availability during a
-background rebuild — recorded to ``BENCH_index.json``.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import pytest
 
 from benchmarks.common import (
     bench_entities,
-    bench_index_workload,
     bench_queries,
     bench_reviews,
     print_table,
@@ -111,54 +105,6 @@ def test_ablation_intersection_mode(benchmark, setup):
         [[k, f"{v:.3f}"] for k, v in scores.items()],
     )
     assert scores["soft (default)"] >= scores["strict (Algorithm 1 literal)"] - 0.005
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_scalar_vs_vectorized_index(benchmark):
-    """The full index bench: backends, shard cells, snapshot, availability.
-
-    Delegates to :mod:`repro.core.bench_index` (what ``repro bench-index``
-    runs) so the pytest bench and the CLI produce the same
-    ``BENCH_index.json`` record shape, then asserts the committed-record
-    bars: scalar→vectorized ≥5× with ≤1e-9 drift, sharded lookups
-    byte-identical to the single-shard oracle with shard8 ≥1.5× over the
-    dense legacy combine, snapshot round-trip rankings identical, and
-    search p99 during a background rebuild ≤3× idle.
-    """
-    from repro.core.bench_index import run_index_benchmark, write_index_record
-
-    sizes = bench_index_workload()
-    payload = run_index_benchmark(
-        entities=sizes["entities"],
-        review_tags=sizes["review_tags"],
-        index_tags=sizes["index_tags"],
-        queries=sizes["queries"],
-        progress=print,
-    )
-    speedup = payload["speedup"]
-    print_table(
-        "Backend: scalar oracle vs vectorized kernel",
-        ["build", "lookup", "total"],
-        [[f"{speedup['build']:.1f}x", f"{speedup['lookup']:.1f}x", f"{speedup['total']:.1f}x"]],
-    )
-    cells = payload["shards"]["cells"]
-    print_table(
-        "Sharded lookups vs dense legacy combine",
-        ["cell", "lookup (s)", "vs dense"],
-        [
-            [name, f"{cell['lookup_seconds']:.3f}", f"{cell['lookup_speedup_vs_dense']:.2f}x"]
-            for name, cell in cells.items()
-        ],
-    )
-    record_path = write_index_record(payload)
-    print(f"wrote {record_path}")
-    assert payload["max_abs_delta"] <= 1e-9
-    assert speedup["total"] >= 5.0
-    assert payload["shards"]["identical_to_oracle"] is True
-    assert cells["shard8"]["lookup_speedup_vs_dense"] >= 1.5
-    assert payload["snapshot"]["rankings_identical"] is True
-    assert payload["availability"]["availability_ratio"] <= 3.0
-    assert payload["availability"]["generation_monotonic"] is True
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

@@ -13,14 +13,6 @@ Scale is controlled by environment variables:
     reviews; paper: 280 / ~25).
 ``REPRO_BENCH_QUERIES``
     queries per difficulty level (default 40; paper: 100).
-``REPRO_BENCH_INDEX_ENTITIES`` / ``REPRO_BENCH_INDEX_REVIEW_TAGS`` /
-``REPRO_BENCH_INDEX_TAGS`` / ``REPRO_BENCH_INDEX_QUERIES``
-    workload for the scalar-vs-vectorized index microbenchmark
-    (defaults 200 entities / 2000 review-tag occurrences / 500 index
-    tags / 1000 ``lookup_similar`` queries).
-``REPRO_BENCH_OUTPUT_DIR``
-    where :func:`write_bench_record` drops ``BENCH_<name>.json``
-    artifacts (default: the repository root).
 
 Each bench prints a paper-vs-measured table and asserts the *shape*
 properties documented in DESIGN.md §4.
@@ -28,12 +20,8 @@ properties documented in DESIGN.md §4.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Dict, List, Mapping, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 __all__ = [
     "bench_scale",
@@ -41,10 +29,8 @@ __all__ = [
     "bench_entities",
     "bench_reviews",
     "bench_queries",
-    "bench_index_workload",
     "print_table",
     "paper_reference",
-    "write_bench_record",
 ]
 
 
@@ -79,37 +65,6 @@ def bench_reviews() -> float:
 def bench_queries() -> int:
     """Queries per difficulty level."""
     return _env_int("REPRO_BENCH_QUERIES", 40)
-
-
-def bench_index_workload() -> Dict[str, int]:
-    """Workload sizes for the scalar-vs-vectorized index microbenchmark."""
-    return {
-        "entities": _env_int("REPRO_BENCH_INDEX_ENTITIES", 200),
-        "review_tags": _env_int("REPRO_BENCH_INDEX_REVIEW_TAGS", 2000),
-        "index_tags": _env_int("REPRO_BENCH_INDEX_TAGS", 500),
-        "queries": _env_int("REPRO_BENCH_INDEX_QUERIES", 1000),
-    }
-
-
-def write_bench_record(name: str, payload: Mapping[str, object]) -> Path:
-    """Persist a benchmark result as ``BENCH_<name>.json``.
-
-    Records land in the repository root (override with
-    ``REPRO_BENCH_OUTPUT_DIR``) so successive runs are diffable artifacts.
-    Every record is stamped with the host environment so timings from
-    different machines are never compared blind.
-    """
-    from repro.utils.env import environment_info
-
-    out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", Path(__file__).resolve().parent.parent))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    record = dict(payload)
-    record.setdefault("environment", environment_info())
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

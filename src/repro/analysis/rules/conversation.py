@@ -2,7 +2,7 @@
 
 The conversation stage (``repro/conversation/``) promises that a transcript
 fully determines every routing, coreference and rewrite decision — the
-equivalence oracle in the bench and the serve-vs-sequential session tests
+stage on/off equivalence tests and the serve-vs-sequential session tests
 both rely on it.  Unlike the ranking modules (where only scoring paths are
 clock-sensitive), *nothing* in the conversation package may read the
 wall clock or draw from process-global RNG state: salience recency is

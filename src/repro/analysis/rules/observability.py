@@ -64,7 +64,7 @@ class MetricNameLiteral(Rule):
         "metrics.incr/observe/time must receive a string literal or a "
         "module-level constant: names built from runtime values create "
         "unbounded metric cardinality (registry memory grows with input) "
-        "and series that no dashboard, SLO spec or bench guard addresses.  "
+        "and series that no dashboard, SLO spec or benchmark addresses.  "
         "Enumerate the closed set in an UPPER_CASE constant and index it."
     )
 

@@ -1,8 +1,8 @@
 """Persistence rules.
 
-Snapshots, bench records and baselines are read back by later runs — by the
-serving warm-start path, the tier-1 bench guard, CI.  A writer that dies
-mid-``write()`` (or races a reader) must never leave a torn file where a
+Snapshots, benchmark records and baselines are read back by later runs — by
+the serving warm-start path, the benchmark compare step, CI.  A writer that
+dies mid-``write()`` (or races a reader) must never leave a torn file where a
 valid one stood, so every durable write goes through the temp-file +
 ``os.replace`` idiom: write the full payload to a sibling temp path, then
 atomically rename over the destination.
@@ -80,7 +80,7 @@ class AtomicFileWrite(Rule):
     family = "persistence"
     summary = "durable file write without the temp + os.replace idiom"
     rationale = (
-        "A reader (warm start, bench guard, baseline diff) that opens a "
+        "A reader (warm start, benchmark compare, baseline diff) that opens a "
         "file mid-write sees a torn payload; a writer killed mid-write "
         "leaves one behind forever.  Write the bytes to a sibling temp "
         "path and os.replace() it over the destination — rename is atomic "

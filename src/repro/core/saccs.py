@@ -94,8 +94,6 @@ class SaccsConfig:
     extraction_mode: str = "bucketed"
     #: sentences per extraction length bucket (one encoder forward each).
     extraction_batch_sentences: int = 64
-    #: pairing worker threads for the extraction engine (0/1 = serial).
-    extraction_workers: int = 0
     #: cache extracted tags per review content hash, making
     #: :meth:`Saccs.rebuild_index` after small corpus edits incremental.
     extraction_cache: bool = True
@@ -130,7 +128,6 @@ class SaccsConfig:
     def extraction_config(self) -> ExtractionEngineConfig:
         return ExtractionEngineConfig(
             batch_sentences=self.extraction_batch_sentences,
-            pairing_workers=self.extraction_workers,
             cache_enabled=self.extraction_cache,
             encoder_precision=self.encoder_precision,
         )
@@ -158,7 +155,7 @@ class Saccs:
         #: optional fake-review defence (Section 7 future work); suspicious
         #: reviews are dropped before extraction.
         self.review_filter = review_filter
-        #: the corpus-wide batched extraction pass (buckets, pairing pool,
+        #: the corpus-wide batched extraction pass (buckets, pairing,
         #: content-hash cache).  Shared with the serving runtime so utterance
         #: micro-batches reuse the same buckets and ``/metrics`` sees the
         #: cache counters.

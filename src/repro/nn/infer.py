@@ -4,8 +4,8 @@ The training forward builds a :class:`~repro.nn.tensor.Tensor` graph: every
 op allocates a node, float64 everywhere, and activation derivatives are
 computed eagerly even under ``no_grad`` (``gelu`` materialises its local
 gradient whether or not anyone will backpropagate).  At inference time all
-of that is waste — ``BENCH_extract`` attributes ~95% of bucketed ingest to
-the encode stage.  This module is the dedicated inference-only forward:
+of that is waste — the encode stage dominates bucketed ingest (see the
+``extract.encode_ms`` layer of the end-to-end benchmark).  This module is the dedicated inference-only forward:
 
 * **Flat export** — :meth:`InferenceModel.from_tagger` copies every weight
   of a trained ``SequenceTagger`` (MiniBert encoder, BiLSTM, emission

@@ -20,7 +20,7 @@ span trees.  Design constraints, in order:
   one-member special case.
 * **Thread hand-offs are explicit.**  The batcher hand-off uses
   :func:`scope` (the worker re-activates the group from the queued
-  requests' captured roots); executor fan-out uses
+  requests' captured roots); executor fan-out must use
   ``contextvars.copy_context()`` — one copy per submitted task, made in the
   submitting thread.
 """

@@ -11,7 +11,7 @@ stdlib-only JSON-over-HTTP frontend.  Start one with::
     with SaccsHttpServer(SaccsRuntime(saccs, ServeConfig())) as server:
         print(server.url)   # POST /search, /session/<id>/say, ...
 
-or from the command line: ``repro serve`` / ``repro bench-serve``.
+or from the command line: ``repro serve``.
 """
 
 from repro.serve.cache import GenerationalCache, ServingCache

@@ -42,8 +42,8 @@ class GenerationalCache:
     ``get`` misses (and drops the entry) when the stored generation differs
     from the caller's current one — invalidation is lazy and exact.  A
     ``max_size`` of 0 disables the cache entirely (every get is a miss,
-    every put a no-op), which load benchmarks use to isolate scheduler
-    effects from cache effects.
+    every put a no-op), which isolates scheduler effects from cache
+    effects.
     """
 
     def __init__(self, max_size: int = 4096):

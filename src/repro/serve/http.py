@@ -137,8 +137,21 @@ def make_handler(runtime: SaccsRuntime):
             self.end_headers()
             self.wfile.write(body)
 
+        def _content_length(self) -> int:
+            raw = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so it can be neither read nor
+                # skipped: answer without touching it and drop the connection.
+                self.close_connection = True
+                raise ProtocolError(f"invalid Content-Length {raw!r}")
+            return length
+
         def _read_json(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._content_length()
             if length > MAX_BODY_BYTES:
                 raise ProtocolError(
                     f"request body over {MAX_BODY_BYTES} bytes", status=413, code="too_large"
@@ -235,8 +248,7 @@ def make_handler(runtime: SaccsRuntime):
             # {"full": true} → re-extract the corpus and rebuild first;
             # {"background": true} → double-buffered rebuild (searches keep
             # serving; the replacement index swaps in atomically).
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self._read_json() if length else {}
+            body = self._read_json() if self._content_length() else {}
             if not isinstance(body, dict):
                 raise ProtocolError("reindex body must be a JSON object")
             full = body.get("full", False)

@@ -5,7 +5,6 @@ every other subpackage can import them without cycles.
 """
 
 from repro.utils.caching import ArtifactCache, default_cache, fingerprint, memoize
-from repro.utils.env import environment_info
 from repro.utils.locks import (
     LockWitness,
     TrackedLock,
@@ -38,7 +37,6 @@ __all__ = [
     "default_cache",
     "derive_rng",
     "derive_seed",
-    "environment_info",
     "fingerprint",
     "log_softmax",
     "logsumexp",

@@ -49,9 +49,9 @@ class StageTimings:
     """Named wall-clock spans accumulated across a multi-stage pipeline.
 
     The extraction engine wraps its ingest stages (encode / decode / pair /
-    register) in :meth:`span` blocks; bench records export :meth:`as_dict`
-    so stage shares are readable straight off ``BENCH_*.json``.  Recording
-    is lock-protected — pairing workers report from pool threads.
+    register) in :meth:`span` blocks; :meth:`as_dict` exports the stage
+    shares.  Recording is lock-protected — concurrent ingests and utterance
+    batches report into one instance.
 
     With ``span_prefix`` set this doubles as a thin compatibility shim over
     :mod:`repro.obs` spans: every :meth:`add` additionally records a

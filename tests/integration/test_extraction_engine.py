@@ -57,12 +57,9 @@ def flat_reviews(world):
 
 
 class TestEngineEquivalence:
-    def test_bucketed_parallel_matches_sequential_per_review(self, extractor, flat_reviews):
-        # Tiny buckets force sentences from different reviews to share
-        # forwards; 3 workers exercise the pairing pool.
-        engine = ExtractionEngine(
-            extractor, ExtractionEngineConfig(batch_sentences=5, pairing_workers=3)
-        )
+    def test_bucketed_matches_sequential(self, extractor, flat_reviews):
+        # Tiny buckets force sentences from different reviews to share forwards.
+        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=5))
         expected = [extractor.extract_review(review) for review in flat_reviews]
         assert engine.extract_reviews(flat_reviews) == expected
         # Multiset equality per review follows from list equality, but state
@@ -80,7 +77,7 @@ class TestEngineEquivalence:
         sequential.build_index(tags)
         bucketed = Saccs(
             world.entities, world.reviews, extractor, similarity,
-            SaccsConfig(extraction_batch_sentences=16, extraction_workers=2),
+            SaccsConfig(extraction_batch_sentences=16),
         )
         bucketed.build_index(tags)
         assert bucketed.index._entity_tags == sequential.index._entity_tags
@@ -184,47 +181,3 @@ class TestRuntimeUtteranceBatching:
         assert runtime.saccs.extraction_engine.cache.hits == hits_before + total
         assert runtime.metrics.counter("extract.cache.hit") >= total
 
-
-@pytest.mark.slow
-class TestBenchExtractSmoke:
-    """End-to-end smoke for ``repro bench-extract`` on a tiny corpus."""
-
-    def test_benchmark_runs_and_record_is_well_formed(self, tmp_path):
-        from repro.core.extraction_bench import (
-            run_extraction_benchmark,
-            write_extract_record,
-        )
-
-        payload = run_extraction_benchmark(
-            seed=3,
-            entities=6,
-            mean_reviews=3.0,
-            batch_sentences=16,
-            pairing_workers=2,
-            train_epochs=1,
-        )
-        # The internal witness check already raised if any variant diverged.
-        assert payload["equivalent"] is True
-        assert set(payload["variants"]) == {
-            "sequential",
-            "bucketed",
-            "bucketed_parallel",
-            "warm_cache",
-        }
-        for variant in payload["variants"].values():
-            assert variant["ingest_seconds"] > 0.0
-        stages = payload["variants"]["bucketed"]["stages"]
-        assert {"encode", "decode", "pair", "register"} <= set(stages)
-        assert payload["summary"]["warm_cache_hit_ratio"] == pytest.approx(1.0)
-        assert set(payload["summary"]["speedup"]) == {
-            "bucketed",
-            "bucketed_parallel",
-            "warm_cache",
-        }
-
-        path = write_extract_record(payload, output=str(tmp_path / "BENCH_extract.json"))
-        import json
-
-        on_disk = json.loads(path.read_text())
-        assert on_disk["workload"]["entities"] == 6
-        assert on_disk["equivalent"] is True

@@ -8,6 +8,7 @@ survive the index moving).
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -47,6 +48,29 @@ def _post(url: str, payload) -> dict:
 def _get(url: str) -> dict:
     with urllib.request.urlopen(url) as response:
         return json.loads(response.read())
+
+
+def _raw_search(server, content_length: str) -> tuple:
+    """POST /search with a hand-written Content-Length; (status, body)."""
+    with socket.create_connection((server.host, server.port), timeout=2.0) as sock:
+        sock.sendall(
+            b"POST /search HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            reply += sock.recv(4096)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        length = int(
+            next(
+                line.split(b":", 1)[1]
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+        )
+        while len(body) < length:
+            body += sock.recv(4096)
+    return int(head.split(b" ", 2)[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +245,18 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_a_client_error(self, server):
+        status, body = _raw_search(server, "-1")
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert _get(f"{server.url}/healthz")["status"] == "ok"
+
+    def test_non_numeric_content_length_is_a_client_error(self, server):
+        status, body = _raw_search(server, "abc")
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert _get(f"{server.url}/healthz")["status"] == "ok"
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

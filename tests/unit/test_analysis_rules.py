@@ -96,7 +96,7 @@ def test_conversation_determinism_near_misses_are_clean():
 def test_conversation_determinism_scope_is_package_anchored():
     rule = get_rule("conversation-determinism")
     assert rule.applies_to("src/repro/conversation/stage.py")
-    assert rule.applies_to("src/repro/conversation/bench.py")
+    assert rule.applies_to("src/repro/conversation/rewrite.py")
     assert not rule.applies_to("src/repro/core/session.py")
     assert not rule.applies_to("src/repro/serve/runtime.py")
 

@@ -27,14 +27,6 @@ class TestParser:
         assert args.max_batch_size == 16
         assert args.world is None
 
-    def test_bench_serve_knobs(self):
-        args = build_parser().parse_args(
-            ["bench-serve", "--seed", "3", "--clients", "1", "4", "--requests", "10"]
-        )
-        assert args.seed == 3
-        assert args.clients == [1, 4]
-        assert args.requests == 10
-
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == ["src"]

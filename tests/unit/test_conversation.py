@@ -22,7 +22,6 @@ from repro.conversation import (
     SalienceStack,
     TopicShiftDetector,
 )
-from repro.conversation.bench import build_conv_workload
 from repro.core.session import ConversationSession, _tokens_match
 from repro.core.tags import SubjectiveTag
 from repro.serve.metrics import MetricsRegistry
@@ -373,28 +372,3 @@ class TestRetractionTokenMatching:
         session = self._session_with_tags([tag])
         assert session._retractions("the wine list doesn't matter") == [tag]
         assert session._retractions("the wine doesn't matter") == []
-
-
-# --------------------------------------------------------------------- bench
-
-
-class TestBenchWorkload:
-    def test_workload_is_seed_deterministic(self):
-        import numpy as np
-
-        first = build_conv_workload(np.random.default_rng(5), sessions=6, turns=6)
-        second = build_conv_workload(np.random.default_rng(5), sessions=6, turns=6)
-        assert first == second
-        assert len(first) == 6 and all(len(t) == 6 for t in first)
-
-    def test_workload_mixes_routes(self):
-        import numpy as np
-
-        classifier = QueryClassifier()
-        workload = build_conv_workload(np.random.default_rng(0), sessions=3, turns=6)
-        routes = {
-            classifier.parse(utterance).route
-            for transcript in workload
-            for utterance in transcript
-        }
-        assert routes == {ROUTE_CHITCHAT, ROUTE_OBJECTIVE, ROUTE_SUBJECTIVE}

@@ -1,7 +1,6 @@
 """Tier-1 lint guard: ``repro lint src/`` must stay clean.
 
-Mirrors ``benchmarks/check_bench.py``'s role for performance: this guard
-runs the static analyzer over the real ``src/`` tree exactly as CI would
+Runs the static analyzer over the real ``src/`` tree exactly as CI would
 (fresh interpreter, JSON reporter, committed baseline) and fails the suite
 on any non-baselined, non-suppressed finding — so a seeded race or
 nondeterminism violation in ``src/`` breaks the build, not a prod bench.
