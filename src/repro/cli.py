@@ -4,13 +4,16 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 
     python -m repro world generate --entities 60 --reviews 15 --out world.json
     python -m repro world show --path world.json
-    python -m repro index build --world world.json --out index.json
-    python -m repro search --world world.json --index index.json \
+    python -m repro index build --world world.json --out index/
+    python -m repro search --world world.json --index index/ \
         "delicious food" "nice staff"
+    python -m repro serve --world world.json --snapshot-dir index/
     python -m repro datasets
 
-All CLI paths use the oracle extractor (gold review annotations) so they run
-in seconds; the neural pipeline lives in the examples and benchmarks.
+``index build`` writes an index snapshot directory (``repro.core.snapshot``),
+which ``search --index`` and ``serve --snapshot-dir`` both read.  All CLI
+paths use the oracle extractor (gold review annotations) so they run in
+seconds; the neural pipeline lives in the examples and benchmarks.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def _cmd_world_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, save_index
+    from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, save_snapshot
     from repro.data import load_world
     from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -88,34 +91,33 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     if args.tags:
         tags = [SubjectiveTag.from_text(t) for t in args.tags]
     saccs.build_index(tags)
-    save_index(saccs.index, args.out)
+    save_snapshot(saccs.index, args.out)
     print(f"indexed {len(saccs.index)} tags over {len(world.entities)} entities -> {args.out}")
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.core import SubjectiveTag, load_index
-    from repro.core.filtering import FilterConfig, filter_and_rank
+    from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, load_snapshot
     from repro.data import load_world
     from repro.text import ConceptualSimilarity, restaurant_lexicon
 
     world = load_world(args.world)
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    index = load_index(args.index, similarity)
+    index = load_snapshot(args.index, similarity)
+    saccs = Saccs(
+        world.entities,
+        world.reviews,
+        OracleExtractor(),
+        similarity,
+        SaccsConfig(theta_filter=args.theta, top_k=args.top_k),
+    )
+    saccs.adopt_index(index)
     name_of = {e.entity_id: e.name for e in world.entities}
     tags = [SubjectiveTag.from_text(t) for t in args.tags]
-    tag_sets = []
     for tag in tags:
-        mapping = index.lookup(tag)
-        if not mapping:
-            mapping = index.lookup_similar(tag, theta_filter=args.theta)
+        if tag not in index:
             print(f"(tag {tag.text!r} not indexed; combined similar tags)")
-        tag_sets.append(mapping)
-    results = filter_and_rank(
-        [e.entity_id for e in world.entities],
-        tag_sets,
-        FilterConfig(top_k=args.top_k),
-    )
+    results = saccs.answer_tags(tags)
     print(f"query: {', '.join(t.text for t in tags)}")
     for rank, (entity_id, score) in enumerate(results, start=1):
         print(f"  {rank:2d}. {name_of.get(entity_id, entity_id):<26} {score:.3f}")
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index.add_subparsers(dest="index_command", required=True)
     build = index_sub.add_parser("build", help="build a subjective tag index")
     build.add_argument("--world", required=True)
-    build.add_argument("--out", required=True)
+    build.add_argument("--out", required=True, help="snapshot directory to write")
     build.add_argument("--tags", nargs="*", help="tags to index (default: the 18 dimensions)")
     build.add_argument("--theta", type=float, default=0.70)
     build.add_argument("--theta-mode", choices=["static", "dynamic"], default="static")
@@ -537,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subparsers.add_parser("search", help="answer a subjective query")
     search.add_argument("--world", required=True)
-    search.add_argument("--index", required=True)
+    search.add_argument("--index", required=True, help="snapshot directory from `index build`")
     search.add_argument("--top-k", type=int, default=10)
     search.add_argument("--theta", type=float, default=0.60)
     search.add_argument("tags", nargs="+", help='subjective tags, e.g. "delicious food"')
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--encoder-precision",
-        choices=("float64", "float32", "int8"),
+        choices=("float64", "float32"),
         default="float64",
         help="tape-free fused inference precision for utterance extraction "
         "(float64 is bitwise-identical to the training forward)",

@@ -16,10 +16,11 @@ lexicon + POS substrate (no model call):
   session's accumulated state can answer it without the extractor.
 * ``chitchat`` — none of the above; nothing here for ranking to use.
 
-This module also owns intent recognition and slot filling (folded in from
-the old ``repro.core.dialog.IntentRecognizer`` so there is exactly one
-utterance-understanding code path): :meth:`QueryClassifier.parse` returns a
-:class:`ParsedUtterance` carrying intent, slots *and* route.
+This module also owns intent recognition and slot filling, so there is
+exactly one utterance-understanding code path: :meth:`QueryClassifier.parse`
+returns a :class:`ParsedUtterance` carrying intent, slots *and* route, and
+the dialog shim (``repro.core.dialog.DialogSystem.recognizer``) is a
+:class:`QueryClassifier`.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ dialog-system shim, the SACCS facade, and the IR/SIM baselines.
 """
 
 from repro.core.baselines import IRBaseline, SimBaseline
-from repro.core.dialog import DialogSystem, IntentRecognizer, ParsedUtterance, SearchApi
+from repro.core.dialog import DialogSystem, ParsedUtterance, SearchApi
 from repro.core.evaluation import (
     ClassificationReport,
     SpanF1,
@@ -28,7 +28,6 @@ from repro.core.extractor import (
 )
 from repro.core.filtering import FilterConfig, aggregate_scores, filter_and_rank
 from repro.core.fraud import FakeReviewFilter, FraudFilterConfig
-from repro.core.index_io import load_index, save_index
 from repro.core.profiles import UserProfile, personalized_rank
 from repro.core.heuristics import (
     AttentionPairingHeuristic,
@@ -83,7 +82,6 @@ __all__ = [
     "IRBaseline",
     "IndexEntry",
     "IndexingRound",
-    "IntentRecognizer",
     "OracleExtractor",
     "Pairer",
     "PairingClassifier",
@@ -119,9 +117,7 @@ __all__ = [
     "filter_and_rank",
     "heuristic_labeling_function",
     "instances_from_examples",
-    "load_index",
     "personalized_rank",
-    "save_index",
     "save_snapshot",
     "load_snapshot",
     "shard_of",

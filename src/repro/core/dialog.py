@@ -3,12 +3,12 @@
 SACCS assumes "the underlying dialog system is already equipped with intent
 recognition and slot filling" (Section 3); this module provides that
 substrate.  Utterance understanding itself lives in
-:mod:`repro.conversation.classify` — :class:`IntentRecognizer` is the same
-:class:`~repro.conversation.classify.QueryClassifier` under its historical
-name, so intent, slots and the subjectivity route all come from one code
-path.  The search API filters the entity catalog by the *objective* slots
-only, returning results ordered by star rating (what Yelp would do),
-oblivious to any subjective phrases in the utterance.
+:mod:`repro.conversation.classify`: :class:`DialogSystem` parses with a
+:class:`~repro.conversation.classify.QueryClassifier`, so intent, slots and
+the subjectivity route all come from one parse.  The search API filters
+the entity catalog by the *objective* slots only, returning results ordered
+by star rating (what Yelp would do), oblivious to any subjective phrases in
+the utterance.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ from typing import Dict, List, Sequence
 from repro.conversation.classify import ParsedUtterance, QueryClassifier
 from repro.data.schema import Entity
 
-__all__ = ["ParsedUtterance", "IntentRecognizer", "SearchApi", "DialogSystem"]
-
-
-class IntentRecognizer(QueryClassifier):
-    """Historical name for :class:`~repro.conversation.classify.QueryClassifier`.
-
-    Kept as a distinct class (not a bare alias) so ``isinstance`` checks and
-    reprs in older call sites keep reading naturally.
-    """
+__all__ = ["ParsedUtterance", "SearchApi", "DialogSystem"]
 
 
 class SearchApi:
@@ -51,15 +43,18 @@ class SearchApi:
 
 
 class DialogSystem:
-    """Intent recognizer + search API, bundled (Algorithm 1's ``search_api``)."""
+    """Query classifier + search API, bundled (Algorithm 1's ``search_api``)."""
 
     def __init__(self, entities: Sequence[Entity]):
-        self.recognizer = IntentRecognizer()
+        self.recognizer = QueryClassifier()
         self.api = SearchApi(entities)
 
     def search(self, utterance: str) -> List[Entity]:
         """Parse the utterance and return objectively-filtered entities."""
-        parsed = self.recognizer.parse(utterance)
+        return self.results(self.recognizer.parse(utterance))
+
+    def results(self, parsed: ParsedUtterance) -> List[Entity]:
+        """Objectively-filtered entities for an already parsed utterance."""
         if parsed.intent != "searchRestaurant":
             return []
         return self.api.search(parsed.slots)

@@ -62,8 +62,8 @@ class ExtractionEngineConfig:
     cache_capacity: int = 200_000
     #: precision for the tagger's tape-free fused encode path:
     #: ``"float64"`` is bitwise-identical to the autograd forward,
-    #: ``"float32"`` / ``"int8"`` trade tolerance-bounded emission error
-    #: for speed (see :mod:`repro.nn.infer`).
+    #: ``"float32"`` trades tolerance-bounded emission error for speed
+    #: (see :mod:`repro.nn.infer`).
     encoder_precision: str = "float64"
 
     def __post_init__(self):

@@ -431,42 +431,6 @@ class SubjectiveTagIndex:
                 degrees /= denom
         return degrees
 
-    def restore_snapshot(
-        self,
-        entries: Mapping[SubjectiveTag, Mapping[str, float]],
-        entity_tags: Mapping[str, Sequence[Sequence[SubjectiveTag]]],
-        entity_review_counts: Mapping[str, int],
-    ) -> None:
-        """Install deserialised state (used by :mod:`repro.core.index_io`)."""
-        self._entries = {tag: dict(mapping) for tag, mapping in entries.items()}
-        self._entity_tags = {
-            entity_id: [list(tags) for tags in per_review]
-            for entity_id, per_review in entity_tags.items()
-        }
-        self._entity_review_counts = {
-            entity_id: int(count) for entity_id, count in entity_review_counts.items()
-        }
-        self._entity_order = []
-        self._entity_col = {}
-        for entity_id in self._entity_tags:
-            self._entity_col[entity_id] = len(self._entity_order)
-            self._entity_order.append(entity_id)
-        for mapping in self._entries.values():
-            for entity_id in mapping:
-                if entity_id not in self._entity_col:
-                    self._entity_col[entity_id] = len(self._entity_order)
-                    self._entity_order.append(entity_id)
-                    self._entity_review_counts.setdefault(entity_id, 0)
-        for per_review in self._entity_tags.values():
-            for tags in per_review:
-                self.vocab.intern_many(tags)
-        self.vocab.intern_many(self._entries)
-        self._threshold_cache.clear()
-        self._occ_dirty = True
-        self._matrix_stale = True
-        self._sim_cache = None
-        self._degree_cache = None
-
     # ------------------------------------------------------------- persistence
 
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:

@@ -1,12 +1,15 @@
 """The SACCS facade (Figure 1): extraction → indexing → filtering → ranking.
 
-Bundles the whole system behind two entry points:
+Bundles the whole system behind three entry points:
 
 * :meth:`Saccs.answer` — full conversational path: parse the utterance
-  through the dialog shim, extract subjective tags from it, probe/extend the
-  index, filter and rank.
+  once through the dialog shim, extract subjective tags from it when the
+  turn is routed subjective, probe/extend the index, filter and rank.
 * :meth:`Saccs.answer_tags` — the evaluation path of Section 6.2, where the
   subjective tags are given directly.
+* :meth:`Saccs.answer_many` — Algorithm 1 for a batch of requests; the
+  other two, the serving runtime and conversation sessions all rank
+  through it.
 
 Unknown query tags are answered in real time by combining similar index
 tags (Algorithm 1 line 10) and are remembered in the *user tag history*;
@@ -16,9 +19,10 @@ SACCS "adapts to new user needs".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.conversation.classify import ROUTE_SUBJECTIVE, ParsedUtterance
 from repro.core.dialog import DialogSystem
 from repro.core.extraction_engine import ExtractionEngine, ExtractionEngineConfig
 from repro.core.extractor import OracleExtractor, TagExtractor
@@ -32,6 +36,10 @@ from repro.obs import tracing as obs
 from repro.text.similarity import ConceptualSimilarity
 
 __all__ = ["SaccsConfig", "Saccs", "IndexingRound", "PreparedIndex"]
+
+#: ``rank(api_ids, tag_sets) -> [(entity_id, score), ...]`` — Algorithm 1
+#: lines 11–12 over one request's API ids and per-tag entity sets.
+Ranker = Callable[[Sequence[str], List[Dict[str, float]]], List[Tuple[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,8 @@ class SaccsConfig:
     #: :meth:`Saccs.rebuild_index` after small corpus edits incremental.
     extraction_cache: bool = True
     #: encoder precision for the tape-free fused inference path used by
-    #: bucketed extraction: ``"float64"`` (bitwise-identical default),
-    #: ``"float32"`` or ``"int8"`` (tolerance-bounded, faster).
+    #: bucketed extraction: ``"float64"`` (bitwise-identical default) or
+    #: ``"float32"`` (tolerance-bounded, faster).
     encoder_precision: str = "float64"
     #: entity shards for the tag index.  1 (default) keeps the plain
     #: :class:`SubjectiveTagIndex`; >1 routes entities by content hash into
@@ -296,20 +304,13 @@ class Saccs:
         """Swap a prepared index in and fold the accumulated tag history.
 
         The atomic half of the background-reindex protocol: one pointer
-        swap, then the user tags that arrived *while the buffer was being
-        built* are folded in (the same sorted-set fold as
-        :meth:`run_indexing_round`) and the generation is bumped once.
+        swap, then :meth:`run_indexing_round` folds in the user tags that
+        arrived *while the buffer was being built* and bumps the generation
+        once.
         """
         self.index = prepared.index
         self._ingested = True
-        added = []
-        for tag in sorted(set(self.user_tag_history)):
-            if tag not in self.index:
-                self.index.add_tag(tag)
-                added.append(tag)
-        self.user_tag_history.clear()
-        self.index_generation += 1
-        return IndexingRound(self.index_generation, tuple(added))
+        return self.run_indexing_round()
 
     def adopt_index(
         self, index: Union[SubjectiveTagIndex, ShardedTagIndex]
@@ -344,29 +345,21 @@ class Saccs:
 
     # --------------------------------------------------------------- queries
 
-    def _tag_set(self, tag: SubjectiveTag) -> Dict[str, float]:
-        """Algorithm 1 lines 7–10: exact lookup or similar-tag combination."""
-        return self._tag_sets([tag])[0]
-
-    def _tag_sets(self, tags: Sequence[SubjectiveTag]) -> List[Dict[str, float]]:
-        """Per-tag entity sets for a whole utterance with one batched lookup."""
-        return self._tag_sets_many([tags])[0]
-
     def _tag_sets_many(
         self, batches: Sequence[Sequence[SubjectiveTag]]
     ) -> List[List[Dict[str, float]]]:
         """Per-tag entity sets for a *batch of requests* with one shared fold.
 
-        Known tags read straight from the index; every distinct unknown tag
-        across the whole batch shares a single
+        Algorithm 1 lines 7–10.  Known tags read straight from the index;
+        every distinct unknown tag across the whole batch shares a single
         :meth:`SubjectiveTagIndex.lookup_similar_batch` call (one kernel
         pass, duplicates computed once) instead of per-tag index scans.
         Unknown tags are remembered in the user tag history per occurrence,
         in request order — exactly what sequential per-request calls would
         record.  Because the kernel evaluates small blocks row-stationary,
-        each request's mappings are bit-identical to the ones a sequential
-        :meth:`answer_tags` call would produce, which is what lets the
-        serving layer micro-batch concurrent requests safely.
+        each request's mappings are bit-identical to the ones a one-request
+        call would produce, which is what lets the serving layer
+        micro-batch concurrent requests safely.
         """
         with obs.span("index.lookup", requests=len(batches)):
             tag_sets: List[List[Optional[Dict[str, float]]]] = [
@@ -395,53 +388,71 @@ class Saccs:
                     tag_sets[request][position] = combined[slot]
             return tag_sets
 
+    def answer_many(
+        self,
+        tag_lists: Sequence[Sequence[SubjectiveTag]],
+        api_entity_ids: Optional[Sequence[Optional[Sequence[str]]]] = None,
+        rank: Optional[Ranker] = None,
+    ) -> List[List[Tuple[str, float]]]:
+        """Algorithm 1 for many requests: lookup, one shared fold, rank.
+
+        ``api_entity_ids`` holds one objective API restriction per request
+        (``None`` — or an entry of ``None`` — ranks over every entity).
+        ``rank(api_ids, tag_sets)`` replaces
+        :func:`~repro.core.filtering.filter_and_rank` under the configured
+        filter settings (sessions pass their own depth or a profile-weighted
+        ranker).  Bit-identical to one call per request, in order, but
+        unknown tags across the whole batch are resolved with a single
+        batched ``lookup_similar`` pass (duplicates deduplicated) — the
+        entry point `repro.serve`'s micro-batching scheduler drains
+        concurrent requests into.  An empty tag list ranks its API list in
+        API order (no subjective signal).
+        """
+        if api_entity_ids is None:
+            api_entity_ids = [None] * len(tag_lists)
+        catalog = [entity.entity_id for entity in self.entities]
+        config = self.config.filter_config()
+        per_request = self._tag_sets_many(tag_lists)
+        with obs.span("rank.filter_and_rank", queries=len(per_request)):
+            ranked = []
+            for tag_sets, api_ids in zip(per_request, api_entity_ids):
+                if api_ids is None:
+                    api_ids = catalog
+                if rank is None:
+                    ranked.append(filter_and_rank(api_ids, tag_sets, config))
+                else:
+                    ranked.append(rank(api_ids, tag_sets))
+            return ranked
+
     def answer_tags(
         self,
         tags: Sequence[SubjectiveTag],
         api_entity_ids: Optional[Sequence[str]] = None,
     ) -> List[Tuple[str, float]]:
         """Rank entities for a set of subjective tags (evaluation entry point)."""
-        if api_entity_ids is None:
-            api_entity_ids = [entity.entity_id for entity in self.entities]
-        tag_sets = self._tag_sets(tags)
-        with obs.span("rank.filter_and_rank", queries=1):
-            return filter_and_rank(api_entity_ids, tag_sets, self.config.filter_config())
+        return self.answer_many([tags], [api_entity_ids])[0]
 
-    def answer_many(
-        self,
-        tag_lists: Sequence[Sequence[SubjectiveTag]],
-        api_entity_ids: Optional[Sequence[str]] = None,
-    ) -> List[List[Tuple[str, float]]]:
-        """Rank entities for many tag queries with one shared index fold.
+    def understand(self, utterance: str) -> Tuple[ParsedUtterance, Tuple[str, ...]]:
+        """Algorithm 1 lines 1–5 from one parse: the turn and its API ids.
 
-        Bit-identical to calling :meth:`answer_tags` once per list, in
-        order, but unknown tags across the whole batch are resolved with a
-        single batched ``lookup_similar`` pass (duplicates deduplicated) —
-        the entry point `repro.serve`'s micro-batching scheduler drains
-        concurrent requests into.
+        The parsed utterance carries the tokens and the subjectivity route;
+        the ids are the objective search API's slot-filtered results.
         """
-        if api_entity_ids is None:
-            api_entity_ids = [entity.entity_id for entity in self.entities]
-        config = self.config.filter_config()
-        per_request = self._tag_sets_many([list(tags) for tags in tag_lists])
-        with obs.span("rank.filter_and_rank", queries=len(per_request)):
-            return [
-                filter_and_rank(api_entity_ids, tag_sets, config)
-                for tag_sets in per_request
-            ]
+        parsed = self.dialog.recognizer.parse(utterance)
+        api_ids = tuple(entity.entity_id for entity in self.dialog.results(parsed))
+        return parsed, api_ids
 
     def answer(self, utterance: str) -> List[Tuple[str, float]]:
-        """Full conversational path for a natural-language utterance."""
-        api_entities = self.dialog.search(utterance)
-        api_ids = [entity.entity_id for entity in api_entities]
-        if isinstance(self.extractor, TagExtractor):
-            parsed = self.dialog.recognizer.parse(utterance)
-            tags = self.extractor.extract(parsed.tokens)
-        else:
+        """Full conversational path for a natural-language utterance.
+
+        Only subjective turns reach the extractor; objective and chitchat
+        turns rank their slot-filtered API list with no tag sets.
+        """
+        if not isinstance(self.extractor, TagExtractor):
             raise TypeError(
                 "answer() needs a TagExtractor (the oracle extractor has no "
                 "gold labels for arbitrary utterances); use answer_tags()"
             )
-        tag_sets = self._tag_sets(tags)
-        with obs.span("rank.filter_and_rank", queries=1):
-            return filter_and_rank(api_ids, tag_sets, self.config.filter_config())
+        parsed, api_ids = self.understand(utterance)
+        tags = self.extractor.extract(parsed.tokens) if parsed.route == ROUTE_SUBJECTIVE else []
+        return self.answer_many([tags], [api_ids])[0]

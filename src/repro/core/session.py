@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.conversation.classify import ROUTE_CHITCHAT, ROUTE_SUBJECTIVE
 from repro.conversation.stage import ConversationStage
 from repro.core.extractor import TagExtractor
+from repro.core.filtering import filter_and_rank
 from repro.core.profiles import UserProfile, personalized_rank
 from repro.core.saccs import Saccs
 from repro.core.tags import SubjectiveTag
@@ -192,18 +193,20 @@ class ConversationSession:
     # --------------------------------------------------------------- ranking
 
     def _rank(self) -> List[Tuple[str, float]]:
+        """Algorithm 1 over the accumulated state: one facade call per turn."""
         api_ids = [e.entity_id for e in self.saccs.dialog.api.search(self.slots)]
-        if not self.active_tags:
-            return [(entity_id, 0.0) for entity_id in api_ids[: self.top_k]]
-        tag_sets = [self.saccs._tag_set(tag) for tag in self.active_tags]
         if self.profile is not None:
             dimensions = [self.dimension_of(tag) for tag in self.active_tags]
-            return personalized_rank(tag_sets, dimensions, self.profile, api_ids, top_k=self.top_k)
-        from repro.core.filtering import FilterConfig, filter_and_rank
 
-        config = self.saccs.config.filter_config()
-        config.top_k = self.top_k
-        return filter_and_rank(api_ids, tag_sets, config)
+            def rank(ids, tag_sets):
+                return personalized_rank(tag_sets, dimensions, self.profile, ids, top_k=self.top_k)
+        else:
+            config = self.saccs.config.filter_config()
+            config.top_k = self.top_k
+
+            def rank(ids, tag_sets):
+                return filter_and_rank(ids, tag_sets, config)
+        return self.saccs.answer_many([self.active_tags], [api_ids], rank=rank)[0]
 
     # ------------------------------------------------------------- inspection
 

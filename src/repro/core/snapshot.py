@@ -6,8 +6,9 @@ matrices from :meth:`SubjectiveTagIndex.snapshot_arrays`) and a
 ``manifest.json`` recording the index configuration, the indexed tag list,
 and a sha256 per file — the same content-hash keying the PR-3
 ``ExtractionCache`` uses for review extractions, extended to index records.
-``repro serve --snapshot-dir`` warm-starts from one in seconds instead of
-re-extracting the corpus.
+``repro index build --out`` writes one, ``repro search --index`` reads it,
+and ``repro serve --snapshot-dir`` warm-starts from one in seconds instead
+of re-extracting the corpus.
 
 Failure policy is *fail-safe, never fail-open*: every writer goes through
 temp-file + ``os.replace`` with the manifest written last, so a torn save
@@ -44,7 +45,7 @@ __all__ = [
     "load_snapshot",
 ]
 
-#: v1 is the JSON single-index format of :mod:`repro.core.index_io`.
+#: the only on-disk index format; loads refuse any other version.
 FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"

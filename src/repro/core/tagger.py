@@ -54,7 +54,7 @@ class SequenceTagger(Module):
         self.decode_beam = decode_beam
         #: default precision for :meth:`predict`'s tape-free fused path.
         #: ``"float64"`` replays the training forward bitwise; ``"float32"``
-        #: and ``"int8"`` trade tolerance-bounded emission error for speed.
+        #: trades tolerance-bounded emission error for speed.
         if encoder_precision not in PRECISIONS:
             raise ValueError(
                 f"encoder_precision must be one of {PRECISIONS}, got {encoder_precision!r}"

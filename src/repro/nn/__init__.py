@@ -12,7 +12,6 @@ from repro.nn.infer import (
     EquivalenceReport,
     InferenceModel,
     PRECISIONS,
-    QuantizedMatrix,
     equivalence_report,
 )
 from repro.nn.layers import (
@@ -48,7 +47,6 @@ __all__ = [
     "MultiHeadSelfAttention",
     "PRECISIONS",
     "Parameter",
-    "QuantizedMatrix",
     "ReLU",
     "SGD",
     "Sequential",

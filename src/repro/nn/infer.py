@@ -22,20 +22,15 @@ of that is waste — the encode stage dominates bucketed ingest (see the
   the steady state of bucketed ingest performs zero per-call allocation
   for them; gemms write straight into scratch via ``out=``.
 * **Reduced precision** — ``precision="float32"`` casts the exported
-  weights once and runs the whole stack in float32; ``"int8"`` stores
-  per-row absmax symmetric :class:`QuantizedMatrix` weights for the
-  MiniBert matrices (embeddings, QKV, output projection, FFN) and runs
-  the gemms over the dequantised operands with float32 accumulation,
-  keeping the decode-margin-critical tagger tails (LSTM, emission
-  projection) at float32 (:data:`INT8_FLOAT32_TAILS`).  The float64
+  weights once and runs the whole stack in float32.  The float64
   export replays the training forward's exact op order, so its emissions
   are **bitwise identical** to ``SequenceTagger.emissions`` — the
   oracle-pairing discipline of ``LinearChainCRF.decode_scalar`` applied
   to the encoder: the slow path stays as the reference, and
-  :func:`equivalence_report` measures each reduced precision against it.
-  The reduced precisions are tolerance-bounded, not bitwise, so they may
-  additionally take single-pass formulations of sigmoid/gelu that the
-  bitwise contract forbids the float64 path.
+  :func:`equivalence_report` measures float32 against it.  float32 is
+  tolerance-bounded, not bitwise, so it may additionally take
+  single-pass formulations of sigmoid/gelu that the bitwise contract
+  forbids the float64 path.
 * **Memoised word pooling** — duplicate words across a batch (piece-id
   rows that hash equal) are pooled from piece embeddings once and
   scattered to every occurrence.
@@ -46,21 +41,20 @@ of that is waste — the encode stage dominates bucketed ingest (see the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "PRECISIONS",
-    "QuantizedMatrix",
     "InferenceModel",
     "EquivalenceReport",
     "equivalence_report",
 ]
 
 #: supported inference precisions, slow-oracle first.
-PRECISIONS = ("float64", "float32", "int8")
+PRECISIONS = ("float64", "float32")
 
 _NEG_INF = -1e9  # identical mask penalty to nn.attention
 
@@ -69,70 +63,6 @@ def _check_precision(precision: str) -> str:
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
     return precision
-
-
-# --------------------------------------------------------------------------- quantization
-
-
-@dataclass(frozen=True)
-class QuantizedMatrix:
-    """Per-row absmax symmetric int8 quantization of a float matrix.
-
-    Each row is scaled independently by ``absmax/127`` so one outlier row
-    cannot destroy the resolution of the others (the per-channel scheme of
-    standard weight-only int8 schemes).  ``dequantize`` reconstructs the
-    float32 operand the gemms accumulate over — the quantization error is
-    carried into the results, which is exactly what the equivalence
-    harness measures against the float64 oracle.
-    """
-
-    q: np.ndarray  #: ``(rows, cols)`` int8 codes
-    scale: np.ndarray  #: ``(rows,)`` float32 per-row scales (absmax/127)
-
-    @classmethod
-    def quantize(cls, weight: np.ndarray) -> "QuantizedMatrix":
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ValueError(f"expected a matrix, got shape {weight.shape}")
-        absmax = np.abs(weight).max(axis=1)
-        scale = np.where(absmax > 0.0, absmax / 127.0, 1.0)
-        codes = np.rint(weight / scale[:, None]).astype(np.int8)
-        return cls(q=codes, scale=scale.astype(np.float32))
-
-    def dequantize(self) -> np.ndarray:
-        """Float32 reconstruction ``q * scale`` (rows back to float)."""
-        return self.q.astype(np.float32) * self.scale[:, None]
-
-    @property
-    def nbytes(self) -> int:
-        return self.q.nbytes + self.scale.nbytes
-
-
-#: matrices the int8 export keeps at float32.  Quantization error on these
-#: operands feeds the decode margin with no averaging to wash it out: the
-#: final projection writes emissions directly, and the LSTM matrices
-#: compound their error through the recurrence.  Everything upstream of
-#: them (embeddings, attention, FFN — the bulk of the weights) quantizes;
-#: this is the usual weight-only int8 split of big gemm operands in int8,
-#: precision-critical tails in float.
-INT8_FLOAT32_TAILS = ("lstm_fwd", "lstm_bwd", "projection")
-
-
-def _export_matrix(weight: np.ndarray, precision: str) -> np.ndarray:
-    """A weight matrix in the target dtype (int8 round-trips through codes)."""
-    weight = np.ascontiguousarray(weight, dtype=np.float64)
-    if precision == "float64":
-        return weight
-    if precision == "float32":
-        return weight.astype(np.float32)
-    return QuantizedMatrix.quantize(weight).dequantize()
-
-
-def _export_vector(vector: np.ndarray, precision: str) -> np.ndarray:
-    """Biases/scales/shifts: cast only, never quantized (they are tiny and
-    additive — quantizing them buys nothing and costs accuracy)."""
-    vector = np.ascontiguousarray(vector, dtype=np.float64)
-    return vector if precision == "float64" else vector.astype(np.float32)
 
 
 # --------------------------------------------------------------------------- fused blocks
@@ -152,7 +82,7 @@ class FusedAttention:
     ``(D, D)`` ones and rounds differently.  The float64 oracle export
     therefore also keeps the three separate projections (``wq``/``wk``/
     ``wv``) and replays the module's exact gemm shapes; the reduced
-    precisions, which are tolerance-bounded, take the fused fast path.
+    float32 path, which is tolerance-bounded, takes the fused fast path.
     """
 
     wqkv: np.ndarray  #: ``(3D, D)`` — ``[Wq; Wk; Wv]`` stacked by rows
@@ -229,8 +159,8 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray, exact: bool = True) -> np.ndar
 
     ``exact=True`` keeps the branch structure of
     :func:`repro.utils.numerics.sigmoid` so the float64 path reproduces the
-    training forward bitwise.  ``exact=False`` (the float32/int8 paths,
-    which are tolerance-bounded rather than bitwise) uses the single-pass
+    training forward bitwise.  ``exact=False`` (the float32 path, which
+    is tolerance-bounded rather than bitwise) uses the single-pass
     ``1/(1+exp(-x))`` form: for very negative ``x`` the exp overflows to
     ``inf`` and the quotient lands on exactly ``0.0`` — the right limit —
     so only the overflow *warning* needs silencing, and the fancy-indexed
@@ -261,7 +191,7 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, tmp: Optional[np.ndarray] = None,
     builds the cube as ``x*x*x`` into ``tmp`` — np.power with an array
     operand takes the generic pow kernel, orders of magnitude slower than
     two multiplies — at a rounding difference far inside the reduced
-    precisions' tolerance.
+    float32 tolerance.
     """
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
     half = x.dtype.type(0.5)
@@ -286,7 +216,7 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, tmp: Optional[np.ndarray] = None,
 class InferenceModel:
     """Flat, fused, tape-free twin of a trained ``SequenceTagger``.
 
-    Construction copies (and optionally quantizes) every weight; the model
+    Construction copies (and optionally casts) every weight; the model
     holds no reference to the live modules, so training can continue to
     mutate the tagger without corrupting an exported snapshot — staleness
     is the caller's contract (``SequenceTagger`` re-exports when its
@@ -297,8 +227,8 @@ class InferenceModel:
         self.precision = _check_precision(precision)
         self.dtype = np.dtype(np.float64 if precision == "float64" else np.float32)
         #: float64 replays the tape forward op-for-op (bitwise oracle
-        #: pairing); the reduced precisions may take faster, tolerance-
-        #: bounded formulations of sigmoid/gelu.
+        #: pairing); float32 may take faster, tolerance-bounded
+        #: formulations of sigmoid/gelu.
         self.exact_ops = precision == "float64"
         # architecture geometry (filled by from_tagger)
         self.dim = 0
@@ -319,8 +249,6 @@ class InferenceModel:
         self.lstm_bwd: Optional[FusedLstm] = None
         self.w_proj: Optional[np.ndarray] = None
         self.b_proj: Optional[np.ndarray] = None
-        #: int8 codes kept for introspection/serialisation (empty otherwise).
-        self.quantized: Dict[str, QuantizedMatrix] = {}
         #: per-layer attention maps of the last captured forward.
         self.last_attention: List[np.ndarray] = []
         self._scratch: Dict[Tuple[int, int], _Scratch] = {}
@@ -353,26 +281,21 @@ class InferenceModel:
         model.num_labels = tagger.projection.out_features
         model.layer_norm_eps = bert.embedding_norm.eps
 
-        def matrix(name: str, weight: np.ndarray) -> np.ndarray:
-            if precision == "int8" and not any(tail in name for tail in INT8_FLOAT32_TAILS):
-                quantized = QuantizedMatrix.quantize(np.asarray(weight, dtype=np.float64))
-                model.quantized[name] = quantized
-                return quantized.dequantize()
-            return _export_matrix(weight, "float32" if precision == "int8" else precision)
+        def cast(array: np.ndarray) -> np.ndarray:
+            """A contiguous copy of a weight in the target dtype."""
+            array = np.ascontiguousarray(array, dtype=np.float64)
+            return array if precision == "float64" else array.astype(np.float32)
 
-        model.piece_embedding = matrix("piece_embedding", bert.piece_embedding.weight.data)
-        model.position_embedding = matrix(
-            "position_embedding", bert.position_embedding.weight.data
-        )
-        model.emb_gamma = _export_vector(bert.embedding_norm.gamma.data, precision)
-        model.emb_beta = _export_vector(bert.embedding_norm.beta.data, precision)
+        model.piece_embedding = cast(bert.piece_embedding.weight.data)
+        model.position_embedding = cast(bert.position_embedding.weight.data)
+        model.emb_gamma = cast(bert.embedding_norm.gamma.data)
+        model.emb_beta = cast(bert.embedding_norm.beta.data)
 
         for index, layer in enumerate(bert.encoder.layers):
             attn = layer.attention
-            # (3D, D): x @ wqkv.T yields [q | k | v] in one gemm.  Row
-            # stacking keeps each projection's rows intact, so per-row int8
-            # scales stay per-output-channel; the .T view at matmul time
-            # takes the same BLAS transpose path as the Linear modules.
+            # (3D, D): x @ wqkv.T yields [q | k | v] in one gemm; the .T
+            # view at matmul time takes the same BLAS transpose path as the
+            # Linear modules.
             wqkv64 = np.concatenate(
                 [attn.query.weight.data, attn.key.weight.data, attn.value.weight.data],
                 axis=0,
@@ -381,10 +304,10 @@ class InferenceModel:
                 [attn.query.bias.data, attn.key.bias.data, attn.value.bias.data]
             )
             fused_attention = FusedAttention(
-                wqkv=matrix(f"layers.{index}.wqkv", wqkv64),
-                bqkv=_export_vector(bqkv64, precision),
-                wo=matrix(f"layers.{index}.wo", attn.output.weight.data),
-                bo=_export_vector(attn.output.bias.data, precision),
+                wqkv=cast(wqkv64),
+                bqkv=cast(bqkv64),
+                wo=cast(attn.output.weight.data),
+                bo=cast(attn.output.bias.data),
                 num_heads=model.num_heads,
                 head_dim=model.head_dim,
             )
@@ -393,38 +316,38 @@ class InferenceModel:
                 # projection gemms: at some geometries BLAS rounds the
                 # fused (D, 3D) operand differently, and this path's
                 # contract is bitwise identity with the tape forward.
-                fused_attention.wq = _export_matrix(attn.query.weight.data, precision)
-                fused_attention.wk = _export_matrix(attn.key.weight.data, precision)
-                fused_attention.wv = _export_matrix(attn.value.weight.data, precision)
-                fused_attention.bq = _export_vector(attn.query.bias.data, precision)
-                fused_attention.bk = _export_vector(attn.key.bias.data, precision)
-                fused_attention.bv = _export_vector(attn.value.bias.data, precision)
+                fused_attention.wq = cast(attn.query.weight.data)
+                fused_attention.wk = cast(attn.key.weight.data)
+                fused_attention.wv = cast(attn.value.weight.data)
+                fused_attention.bq = cast(attn.query.bias.data)
+                fused_attention.bk = cast(attn.key.bias.data)
+                fused_attention.bv = cast(attn.value.bias.data)
             model.layers.append(
                 FusedLayer(
                     attention=fused_attention,
-                    norm_attn_gamma=_export_vector(layer.norm_attn.gamma.data, precision),
-                    norm_attn_beta=_export_vector(layer.norm_attn.beta.data, precision),
-                    w_ffn_in=matrix(f"layers.{index}.ffn_in", layer.ffn_in.weight.data),
-                    b_ffn_in=_export_vector(layer.ffn_in.bias.data, precision),
-                    w_ffn_out=matrix(f"layers.{index}.ffn_out", layer.ffn_out.weight.data),
-                    b_ffn_out=_export_vector(layer.ffn_out.bias.data, precision),
-                    norm_ffn_gamma=_export_vector(layer.norm_ffn.gamma.data, precision),
-                    norm_ffn_beta=_export_vector(layer.norm_ffn.beta.data, precision),
+                    norm_attn_gamma=cast(layer.norm_attn.gamma.data),
+                    norm_attn_beta=cast(layer.norm_attn.beta.data),
+                    w_ffn_in=cast(layer.ffn_in.weight.data),
+                    b_ffn_in=cast(layer.ffn_in.bias.data),
+                    w_ffn_out=cast(layer.ffn_out.weight.data),
+                    b_ffn_out=cast(layer.ffn_out.bias.data),
+                    norm_ffn_gamma=cast(layer.norm_ffn.gamma.data),
+                    norm_ffn_beta=cast(layer.norm_ffn.beta.data),
                 )
             )
 
-        def lstm(name: str, module) -> FusedLstm:
+        def lstm(module) -> FusedLstm:
             return FusedLstm(
-                w_ih=matrix(f"{name}.w_ih", module.w_ih.data),
-                w_hh=matrix(f"{name}.w_hh", module.w_hh.data),
-                bias=_export_vector(module.bias.data, precision),
+                w_ih=cast(module.w_ih.data),
+                w_hh=cast(module.w_hh.data),
+                bias=cast(module.bias.data),
                 hidden=module.hidden_size,
             )
 
-        model.lstm_fwd = lstm("lstm_fwd", tagger.bilstm.forward_lstm)
-        model.lstm_bwd = lstm("lstm_bwd", tagger.bilstm.backward_lstm)
-        model.w_proj = matrix("projection", tagger.projection.weight.data)
-        model.b_proj = _export_vector(tagger.projection.bias.data, precision)
+        model.lstm_fwd = lstm(tagger.bilstm.forward_lstm)
+        model.lstm_bwd = lstm(tagger.bilstm.backward_lstm)
+        model.w_proj = cast(tagger.projection.weight.data)
+        model.b_proj = cast(tagger.projection.bias.data)
         return model
 
     # ------------------------------------------------------------------ sizes
@@ -437,16 +360,8 @@ class InferenceModel:
         return total
 
     def nbytes(self) -> int:
-        """Resident weight bytes at this precision (int8 counts its codes).
-
-        For int8 the quantized matrices count their codes + scales instead
-        of the dequantized float32 operands; the float32-kept tails
-        (:data:`INT8_FLOAT32_TAILS`) and all vectors count as stored.
-        """
-        total = sum(a.nbytes for a in self._arrays())
-        if self.precision == "int8":
-            total -= sum(q.q.size * 4 - q.nbytes for q in self.quantized.values())
-        return total
+        """Resident weight bytes at this precision."""
+        return sum(a.nbytes for a in self._arrays())
 
     def _arrays(self) -> List[np.ndarray]:
         out = [
@@ -652,7 +567,7 @@ class InferenceModel:
         """Per-token label scores ``(B, T, L)`` — the full encoder stack.
 
         Equivalent to ``SequenceTagger.emissions`` in eval mode (bitwise at
-        float64, tolerance-bounded at float32/int8); returns a plain
+        float64, tolerance-bounded at float32); returns a plain
         ndarray that feeds ``LinearChainCRF.decode`` directly.
         """
         hidden = self.encode(batch, capture_attention=capture_attention)
@@ -706,9 +621,8 @@ class EquivalenceReport:
 
 #: default emission-score tolerances per precision, sized to the observed
 #: error profile of each path with comfortable margin: float64 replays the
-#: oracle bitwise, float32 loses ~2^-24 per accumulation, int8 carries
-#: per-row absmax rounding through two matmul layers.
-DEFAULT_TOLERANCES = {"float64": 0.0, "float32": 1e-3, "int8": 0.5}
+#: oracle bitwise, float32 loses ~2^-24 per accumulation.
+DEFAULT_TOLERANCES = {"float64": 0.0, "float32": 1e-3}
 
 
 def equivalence_report(tagger, sentences, precision: str,

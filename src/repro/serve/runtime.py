@@ -11,15 +11,21 @@ turns it into a concurrent service.  The pipeline:
    waits).
 3. **Worker** threads execute whole batches under the facade lock: the
    batch's distinct tag queries share one
-   :meth:`~repro.core.saccs.Saccs.answer_many` fold (duplicate concurrent
+   :meth:`~repro.core.saccs.Saccs.answer_many` call (duplicate concurrent
    queries are computed once), per-request results are sliced, cached and
    resolved.
+
+The runtime never runs Algorithm 1 itself.  An utterance is parsed once by
+:meth:`Saccs.understand`; subjective turns ride the queue to extraction and
+:meth:`Saccs.answer_many`, objective and chitchat turns rank their API list
+through the same method without extraction — exactly what
+:meth:`Saccs.answer` does.
 
 Equivalence guarantee: because the similarity kernel evaluates small blocks
 row-stationary and :meth:`answer_many` keeps per-request semantics,
 rankings served through the batched pipeline are **byte-identical** to
-sequential :meth:`Saccs.answer_tags` / :meth:`Saccs.answer` calls — the
-integration tests assert this with concurrent clients.
+sequential :meth:`Saccs.answer_tags` / :meth:`Saccs.answer` calls on every
+route — the integration tests assert this with concurrent clients.
 
 The facade lock serialises index access (the facade mutates shared state:
 user tag history, lazy matrices, vocabulary).  Micro-batching is what makes
@@ -37,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conversation.classify import ROUTE_COUNTERS, ROUTE_SUBJECTIVE
 from repro.conversation.stage import ConversationStage
-from repro.core.filtering import filter_and_rank
 from repro.core.saccs import IndexingRound, Saccs
 from repro.core.session import ConversationSession
 from repro.core.extractor import TagExtractor
@@ -328,11 +333,11 @@ class SaccsRuntime:
     def search_utterance(self, utterance: str, top_k: Optional[int] = None) -> SearchResponse:
         """Full conversational ``/search``: extract tags, restrict by slots.
 
-        Byte-identical to :meth:`Saccs.answer` — the objective slot
-        filtering and the extractor run exactly as the facade would, with
-        the extracted tags cached per (utterance, generation).  On a tags
-        cache miss the *utterance itself* rides the micro-batch queue:
-        the worker extracts every utterance in the batch through the
+        Byte-identical to :meth:`Saccs.answer` on every route: the
+        utterance is parsed once by :meth:`Saccs.understand`, and the
+        extracted tags are cached per (utterance, generation).  On a tags
+        cache miss a subjective *utterance itself* rides the micro-batch
+        queue: the worker extracts every utterance in the batch through the
         extraction engine's bucketed path, so concurrent ``/search``
         utterances share one encoder forward instead of tagging one by one.
         """
@@ -355,23 +360,23 @@ class SaccsRuntime:
                 # Parsing and the objective-slot API probe are read-only over
                 # the dialog shim, so they stay outside the facade lock.
                 with obs.span("serve.parse"):
-                    parsed = self.saccs.dialog.recognizer.parse(utterance)
-                    api_entities = self.saccs.dialog.search(utterance)
-                    api_ids = tuple(entity.entity_id for entity in api_entities)
+                    parsed, api_ids = self.saccs.understand(utterance)
                 with obs.span("conv.classify") as sp:
                     route = parsed.route
                     sp.set(route=route)
                 self.metrics.incr(ROUTE_COUNTERS[route])
                 if route != ROUTE_SUBJECTIVE:
                     # No subjective content to extract: chitchat and
-                    # objective turns never reach the encoder — the
-                    # slot-filtered API ranking is the whole answer.
-                    ranked = [(entity_id, 0.0) for entity_id in api_ids]
+                    # objective turns never reach the encoder — their API
+                    # list ranked with no tag sets is the whole answer.
+                    with self._facade_lock:
+                        generation = self.saccs.index_generation
+                        ranked = self.saccs.answer_many([()], [api_ids])[0]
                     if top_k is not None:
                         ranked = ranked[:top_k]
                     return SearchResponse(
                         results=tuple(ranked),
-                        generation=self.generation,
+                        generation=generation,
                         cached=False,
                         batch_size=0,
                         tags=(),
@@ -693,10 +698,10 @@ class SaccsRuntime:
         :meth:`~repro.core.extraction_engine.ExtractionEngine.extract_token_lists`
         call (shared encoder forwards, batch Viterbi), and the extracted
         tags are cached per (utterance, generation).  Then distinct (tags,
-        api-restriction) queries share one :meth:`Saccs._tag_sets_many`
-        fold; duplicates are computed once and every request receives
-        results bit-identical to a sequential facade call.  Per-request
-        ``top_k`` is a post-slice so it cannot perturb scores.
+        api-restriction) queries share one :meth:`Saccs.answer_many` call;
+        duplicates are computed once and every request receives results
+        bit-identical to a sequential facade call.  Per-request ``top_k``
+        is a post-slice so it cannot perturb scores.
 
         Tracing: the worker re-activates every traced member's root span as
         one group (``obs.scope``), so each stage below fans a child span
@@ -747,24 +752,10 @@ class SaccsRuntime:
                 with self.metrics.time("latency.execute_seconds"):
                     with self._facade_lock:
                         generation = self.saccs.index_generation
-                        tag_sets = self.saccs._tag_sets_many(
-                            [list(p.tags) for p in order]
+                        computed = self.saccs.answer_many(
+                            [pending.tags for pending in order],
+                            [pending.api_entity_ids for pending in order],
                         )
-                        config = self.saccs.config.filter_config()
-                        all_ids = [
-                            entity.entity_id for entity in self.saccs.entities
-                        ]
-                        with obs.span("rank.filter_and_rank", queries=len(order)):
-                            computed = []
-                            for pending, sets in zip(order, tag_sets):
-                                api_ids = (
-                                    list(pending.api_entity_ids)
-                                    if pending.api_entity_ids is not None
-                                    else all_ids
-                                )
-                                computed.append(
-                                    filter_and_rank(api_ids, sets, config)
-                                )
         for pending in batch:
             ranked = computed[distinct[(pending.tags, pending.api_entity_ids)]]
             results = ranked[: pending.top_k] if pending.top_k is not None else ranked

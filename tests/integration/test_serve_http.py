@@ -384,6 +384,42 @@ class TestSessionsOverHttp:
         assert second["results"] == first["results"]
         assert second["cached"] is True  # level-2 hit via the cached tag extraction
 
+    def test_bypassed_routes_match_answer(self, neural_saccs):
+        """Objective and chitchat turns answer exactly as the facade does:
+        the slot-filtered API list ranked to the configured ``top_k``."""
+        objective, chitchat = "a table in montreal", "thanks, goodbye"
+        assert neural_saccs.dialog.recognizer.parse(objective).route == "objective"
+        assert neural_saccs.dialog.recognizer.parse(chitchat).route == "chitchat"
+        assert len(neural_saccs.dialog.search(objective)) > neural_saccs.config.top_k
+        runtime = SaccsRuntime(neural_saccs, ServeConfig(cache_size=64))
+        with SaccsHttpServer(runtime) as server:
+            for utterance in (objective, chitchat):
+                served = _post(f"{server.url}/search", {"utterance": utterance})
+                expected = neural_saccs.answer(utterance)
+                assert served["results"] == [[e, s] for e, s in expected], utterance
+                assert served["tags"] == []
+        assert len(neural_saccs.answer(objective)) == neural_saccs.config.top_k
+
+    def test_each_utterance_is_parsed_once(self, neural_saccs, monkeypatch):
+        from repro.conversation import QueryClassifier
+
+        calls = []
+        parse = QueryClassifier.parse
+
+        def counting_parse(self, utterance):
+            calls.append(utterance)
+            return parse(self, utterance)
+
+        monkeypatch.setattr(QueryClassifier, "parse", counting_parse)
+        neural_saccs.answer("find me a restaurant with really quick service")
+        assert len(calls) == 1
+        calls.clear()
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            for utterance in ("find me a place with a romantic ambiance", "a table in lyon"):
+                runtime.search_utterance(utterance)
+                assert calls == [utterance]
+                calls.clear()
+
 
 class TestTelemetryEndpoints:
     """`/debug/timeseries`, `/debug/profile`, `/debug/slo` and query params."""

@@ -156,7 +156,8 @@ class TestSpanTree:
         assert classify["span_id"] < first["serve.enqueue_wait"]["span_id"]
 
     def test_bypassed_route_traces_without_batch_stages(self, traced_server):
-        """An objective utterance's trace stops at conv.classify: no encoder."""
+        """An objective utterance skips the queue and the encoder: after
+        conv.classify it only ranks its API list through the facade."""
         server, runtime = traced_server
         _post(f"{server.url}/search", {"utterance": "a table in montreal"})
         listing = _get(f"{server.url}/debug/traces")
@@ -173,7 +174,9 @@ class TestSpanTree:
         names = [item["name"] for item in bypassed["trace"]["spans"]]
         assert "serve.parse" in names
         for stage in EXPECTED_STAGES:
-            assert stage not in names
+            if stage.startswith(("serve.", "extract.")):
+                assert stage not in names
+        assert "rank.filter_and_rank" in names
         assert runtime.metrics_snapshot()["counters"]["conv.route.objective"] >= 1
 
     def test_tree_endpoint_nests_children_under_the_root(self, traced_search):

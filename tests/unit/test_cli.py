@@ -111,14 +111,16 @@ class TestCommands:
         assert "fraud campaigns" in capsys.readouterr().out
 
     def test_custom_tags_index(self, tmp_path, capsys):
+        from repro.core.snapshot import MANIFEST_NAME
+
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_dir = tmp_path / "index"
         main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
-        main(["index", "build", "--world", world_path, "--out", index_path,
+        main(["index", "build", "--world", world_path, "--out", str(index_dir),
               "--tags", "delicious food", "nice staff"])
         assert "indexed 2 tags" in capsys.readouterr().out
-        payload = json.loads((tmp_path / "index.json").read_text())
-        assert set(payload["entries"]) == {"delicious food", "nice staff"}
+        manifest = json.loads((index_dir / MANIFEST_NAME).read_text())
+        assert manifest["index_tags"] == [["food", "delicious"], ["staff", "nice"]]
 
     def test_unindexed_tag_combines_similar(self, tmp_path, capsys):
         world_path = str(tmp_path / "world.json")
@@ -136,11 +138,32 @@ class TestCommands:
             assert key in out
 
     def test_dynamic_theta_mode(self, tmp_path, capsys):
+        from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
+        from repro.core.snapshot import load_snapshot
+        from repro.data import load_world
+        from repro.text import ConceptualSimilarity, restaurant_lexicon
+
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_path = str(tmp_path / "index")
         main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
         assert main(["index", "build", "--world", world_path, "--out", index_path,
                      "--theta-mode", "dynamic", "--tags", "delicious food"]) == 0
+
+        # The built directory keeps the index config: a tag adopted after
+        # the round trip maps exactly as it does on an in-process index.
+        similarity = ConceptualSimilarity(restaurant_lexicon())
+        loaded = load_snapshot(index_path, similarity)
+        assert loaded.theta_mode == "dynamic"
+        world = load_world(world_path)
+        in_process = Saccs(
+            world.entities, world.reviews, OracleExtractor(), similarity,
+            SaccsConfig(theta_mode="dynamic"),
+        )
+        in_process.build_index([SubjectiveTag.from_text("delicious food")])
+        adopted = SubjectiveTag.from_text("quick service")
+        loaded.add_tag(adopted)
+        in_process.index.add_tag(adopted)
+        assert loaded.lookup(adopted) == in_process.index.lookup(adopted)
 
 
 def _saved_trace(trace_id="t1"):
@@ -237,6 +260,23 @@ class TestServeSnapshotWarmStart:
         assert warm.index.lookup_similar_batch(
             queries, theta_filter=0.6
         ) == cold.index.lookup_similar_batch(queries, theta_filter=0.6)
+
+    def test_warm_starts_from_index_build_output(self, tmp_path, capsys):
+        from repro.cli import _build_serving_saccs
+
+        world_path = str(tmp_path / "world.json")
+        index_dir = str(tmp_path / "index")
+        main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
+        main(["index", "build", "--world", world_path, "--out", index_dir,
+              "--tags", "delicious food", "nice staff"])
+        capsys.readouterr()
+        args = build_parser().parse_args(
+            ["serve", "--world", world_path, "--snapshot-dir", index_dir]
+        )
+        saccs, note = _build_serving_saccs(args)
+        assert note is not None
+        assert "warm-started 2 index tags" in capsys.readouterr().out
+        assert [tag.text for tag in saccs.index.tags] == ["delicious food", "nice staff"]
 
     def test_corrupt_snapshot_falls_back_to_cold_build(self, tmp_path, capsys):
         from repro.cli import _build_serving_saccs

@@ -59,7 +59,7 @@ class TestQueryClassifier:
         assert classifier.route_tokens([]) == ROUTE_CHITCHAT
 
     def test_intent_matches_old_recognizer_contract(self, classifier):
-        # The folded IntentRecognizer behaviour (tests/unit/test_core_saccs.py
+        # The intent contract of the dialog shim (tests/unit/test_core_saccs.py
         # guards the dialog-level API; this guards the classifier directly).
         parsed = classifier.parse("what time is it")
         assert parsed.intent == "unknown"

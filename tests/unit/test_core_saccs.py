@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.conversation import QueryClassifier
 from repro.core import (
     DialogSystem,
     IRBaseline,
-    IntentRecognizer,
     OracleExtractor,
     Saccs,
     SaccsConfig,
@@ -36,13 +36,13 @@ def saccs(world, similarity):
 
 class TestDialog:
     def test_intent_detection(self):
-        recognizer = IntentRecognizer()
+        recognizer = QueryClassifier()
         parsed = recognizer.parse("I want an italian restaurant in montreal")
         assert parsed.intent == "searchRestaurant"
         assert parsed.slots == {"cuisine": "italian", "city": "montreal"}
 
     def test_unknown_intent(self):
-        parsed = IntentRecognizer().parse("what time is it")
+        parsed = QueryClassifier().parse("what time is it")
         assert parsed.intent == "unknown"
 
     def test_search_filters_by_slots(self, world):

@@ -98,6 +98,22 @@ class TestRoundTrip:
             tags[:8], theta_filter=0.6
         ) == index.lookup_similar_batch(tags[:8], theta_filter=0.6)
 
+    def test_loaded_index_adopts_new_tags_like_the_source(self, tmp_path):
+        """The stored review tags let later indexing rounds run after a load."""
+        corpus, tags = _corpus()
+        index = SubjectiveTagIndex(_similarity())
+        for entity_id, reviews in corpus:
+            index.register_entity(entity_id, reviews)
+        index.build(tags[::2])
+        save_snapshot(index, tmp_path)
+        loaded = load_snapshot(tmp_path, _similarity())
+        for tag in tags[1::2]:
+            index.add_tag(tag)
+            loaded.add_tag(tag)
+            assert loaded.lookup(tag) == index.lookup(tag)
+        assert loaded.tags == index.tags
+        assert any(loaded.lookup(tag) for tag in tags[1::2])
+
     def test_dynamic_theta_config_survives_the_round_trip(self, tmp_path):
         index, tags = _build_sharded(theta_mode="dynamic")
         save_snapshot(index, tmp_path)

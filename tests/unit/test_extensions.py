@@ -1,4 +1,4 @@
-"""Unit tests for the Section-7 extensions: fraud, profiles, dynamic θ, I/O."""
+"""Unit tests for the Section-7 extensions: fraud, profiles, dynamic θ, world I/O."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from repro.core import (
     SubjectiveTag,
     SubjectiveTagIndex,
     UserProfile,
-    load_index,
     personalized_rank,
-    save_index,
 )
 from repro.data import (
     FraudConfig,
@@ -236,58 +234,3 @@ class TestWorldIO:
         path.write_text('{"format_version": 999}')
         with pytest.raises(ValueError):
             load_world(path)
-
-
-class TestIndexIO:
-    def test_roundtrip_preserves_queries(self, tmp_path, similarity):
-        index = SubjectiveTagIndex(similarity)
-        index.register_entity("e1", [[SubjectiveTag.from_text("delicious food")]] * 4)
-        index.register_entity("e2", [[SubjectiveTag.from_text("nice staff")]] * 4)
-        index.build([SubjectiveTag.from_text("delicious food"), SubjectiveTag.from_text("nice staff")])
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path, similarity)
-        tag = SubjectiveTag.from_text("delicious food")
-        assert loaded.lookup(tag) == index.lookup(tag)
-        # later indexing rounds still work from the stored entity tags
-        loaded.add_tag(SubjectiveTag.from_text("tasty food"))
-        assert "e1" in loaded.lookup(SubjectiveTag.from_text("tasty food"))
-
-    def test_version_check(self, tmp_path, similarity):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 999}')
-        with pytest.raises(ValueError):
-            load_index(path, similarity)
-
-    def test_missing_version_fails_loudly(self, tmp_path, similarity):
-        path = tmp_path / "bad.json"
-        path.write_text('{"tags": []}')
-        with pytest.raises(ValueError, match="format version"):
-            load_index(path, similarity)
-
-    def test_vectorized_roundtrip_rebuilds_matrices(self, tmp_path, similarity):
-        """A reloaded vectorized index answers lookup_similar exactly as before."""
-        index = SubjectiveTagIndex(similarity, backend="vectorized")
-        index.register_entity("e1", [[SubjectiveTag.from_text("delicious food")]] * 5)
-        index.register_entity("e2", [[SubjectiveTag.from_text("nice staff")],
-                                     [SubjectiveTag.from_text("delicious food")]])
-        index.build([SubjectiveTag.from_text("delicious food"),
-                     SubjectiveTag.from_text("nice staff")])
-        unknown = SubjectiveTag.from_text("really tasty food")
-        before_similar = index.lookup_similar(unknown, theta_filter=0.6)
-        before_known = index.lookup(SubjectiveTag.from_text("delicious food"))
-
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path, similarity, backend="vectorized")
-
-        # matrices are rebuilt lazily from the snapshot; answers are exact
-        assert loaded.lookup(SubjectiveTag.from_text("delicious food")) == before_known
-        assert loaded.lookup_similar(unknown, theta_filter=0.6) == before_similar
-        # the scalar oracle agrees on the reloaded state too
-        scalar = load_index(path, similarity, backend="scalar")
-        reloaded = loaded.lookup_similar(unknown, theta_filter=0.6)
-        oracle = scalar.lookup_similar(unknown, theta_filter=0.6)
-        assert set(reloaded) == set(oracle)
-        for entity_id, value in oracle.items():
-            assert reloaded[entity_id] == pytest.approx(value, abs=1e-9)

@@ -1,8 +1,8 @@
 """Unit tests for the tape-free fused inference path (``repro.nn.infer``).
 
 The float64 export is oracle-paired with the autograd forward — bitwise, not
-approximately — and the reduced precisions are held to the tolerance policy
-plus a tag-identity witness on real decoded output.
+approximately — and float32 is held to the tolerance policy plus a
+tag-identity witness on real decoded output.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.data import build_tagging_dataset
 from repro.nn import (
     InferenceModel,
     PRECISIONS,
-    QuantizedMatrix,
     equivalence_report,
 )
 from repro.nn.infer import DEFAULT_TOLERANCES
@@ -47,41 +46,6 @@ def sentences(tiny_dataset):
     return [list(s.tokens) for s in tiny_dataset.test[:12]]
 
 
-# ----------------------------------------------------------------- quantizer
-
-
-class TestQuantizedMatrix:
-    def test_round_trip_error_bounded_by_half_scale(self):
-        rng = np.random.default_rng(5)
-        weight = rng.normal(scale=0.7, size=(13, 29))
-        quantized = QuantizedMatrix.quantize(weight)
-        error = np.abs(quantized.dequantize().astype(np.float64) - weight)
-        # rint quantization: error per element <= scale/2 (+ float32 slack)
-        bound = quantized.scale.astype(np.float64)[:, None] * 0.5 + 1e-6
-        assert (error <= bound).all()
-
-    def test_zero_row_reconstructs_exactly(self):
-        weight = np.zeros((3, 8), dtype=np.float64)
-        weight[1] = np.linspace(-1.0, 1.0, 8)
-        quantized = QuantizedMatrix.quantize(weight)
-        assert (quantized.dequantize()[0] == 0.0).all()
-        assert (quantized.dequantize()[2] == 0.0).all()
-        # zero rows take the sentinel scale 1.0, never a divide-by-zero
-        assert quantized.scale[0] == 1.0
-
-    def test_codes_and_dtypes(self):
-        weight = np.random.default_rng(0).normal(size=(4, 6))
-        quantized = QuantizedMatrix.quantize(weight)
-        assert quantized.q.dtype == np.int8
-        assert quantized.scale.dtype == np.float32
-        assert np.abs(quantized.q).max() <= 127
-        assert quantized.nbytes == quantized.q.nbytes + quantized.scale.nbytes
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            QuantizedMatrix.quantize(np.zeros(5))
-
-
 # -------------------------------------------------------------------- export
 
 
@@ -91,18 +55,12 @@ class TestExport:
             p: InferenceModel.from_tagger(tagger, p).num_parameters()
             for p in PRECISIONS
         }
-        assert counts["float64"] == counts["float32"] == counts["int8"]
+        assert counts["float64"] == counts["float32"]
         assert counts["float64"] > 0
 
     def test_nbytes_shrink_with_precision(self, tagger):
         nbytes = {p: InferenceModel.from_tagger(tagger, p).nbytes() for p in PRECISIONS}
-        assert nbytes["int8"] < nbytes["float32"] < nbytes["float64"]
-
-    def test_int8_records_quantized_codes(self, tagger):
-        model = InferenceModel.from_tagger(tagger, "int8")
-        assert model.quantized  # one entry per quantized matrix
-        assert all(isinstance(q, QuantizedMatrix) for q in model.quantized.values())
-        assert not InferenceModel.from_tagger(tagger, "float32").quantized
+        assert nbytes["float32"] < nbytes["float64"]
 
     def test_export_is_cached_per_precision(self, tagger):
         first = tagger.inference_model("float32")
@@ -126,6 +84,8 @@ class TestExport:
     def test_bad_precision_rejected_everywhere(self, encoder, tagger):
         with pytest.raises(ValueError):
             InferenceModel("float16")
+        with pytest.raises(ValueError):
+            InferenceModel("int8")
         with pytest.raises(ValueError):
             tagger.inference_model("bfloat16")
         with pytest.raises(ValueError):
@@ -186,8 +146,7 @@ class TestFusedForward:
 
     def test_predict_tags_identical_across_precisions(self, tagger, sentences):
         baseline = tagger.predict(sentences)
-        for precision in ("float32", "int8"):
-            assert tagger.predict(sentences, precision=precision) == baseline
+        assert tagger.predict(sentences, precision="float32") == baseline
 
 
 # --------------------------------------------------------------- equivalence

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.saccs import Saccs
 from repro.serve import (
     GenerationalCache,
     MetricsRegistry,
@@ -588,10 +589,13 @@ class _Entity:
 class _AnswerableStubSaccs(_StubSaccs):
     """Stub facade that can answer tag queries through the batched path.
 
+    ``answer_many`` is the real facade method; the stubbed
     ``_tag_sets_many`` returns no subjective signal, so ``filter_and_rank``
     keeps the API order — enough to drive the full queue → batcher → worker
     → resolve pipeline (and its tracing) without the neural stack.
     """
+
+    answer_many = Saccs.answer_many
 
     class _Config:
         @staticmethod
