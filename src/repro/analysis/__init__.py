@@ -1,22 +1,22 @@
-"""Static analysis enforcing this repo's concurrency and determinism invariants.
+"""Static analysis enforcing this repo's lock, determinism and kernel invariants.
 
 ``repro.analysis`` is a stdlib-``ast`` lint framework purpose-built for the
 SACCS reproduction: the serving stack's guarantee that every fast path is
 byte-identical to its scalar oracle rests on conventions (hold the lock,
-seed the RNG, stable sorts, explicit dtypes) that unit tests cannot police
-exhaustively.  The analyzer turns those conventions into machine-checked
-rules with inline suppressions and a committed baseline, wired into the
-tier-1 test suite via ``repro lint``.
+create locks through the named factories, stable sorts, explicit dtypes)
+that unit tests cannot police exhaustively.  The analyzer turns those
+conventions into machine-checked rules with inline suppressions, wired into
+the tier-1 test suite via ``repro lint``.  A finding is either fixed or
+suppressed inline with a reason; a suppression that no longer covers a
+finding is itself an error.
 
 Public surface:
 
 * :func:`run_analysis` / :func:`analyze_source` — run the rule set;
 * :func:`all_rules` / :class:`Rule` / :class:`Finding` — the rule model;
-* :func:`load_baseline` / :func:`write_baseline` — baseline management;
 * :func:`render_human` / :func:`render_json` — reporters.
 """
 
-from repro.analysis.baseline import load_baseline, partition_findings, write_baseline
 from repro.analysis.engine import (
     AnalysisResult,
     FileReport,
@@ -38,12 +38,9 @@ __all__ = [
     "analyze_source",
     "get_rule",
     "iter_python_files",
-    "load_baseline",
-    "partition_findings",
     "render_human",
     "render_json",
     "result_payload",
     "rules_by_family",
     "run_analysis",
-    "write_baseline",
 ]

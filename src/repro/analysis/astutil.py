@@ -16,7 +16,6 @@ __all__ = [
     "call_name",
     "has_keyword",
     "self_attr_target",
-    "self_attr_reads",
     "owned_lock_attrs",
     "iter_methods",
     "MUTATOR_METHODS",
@@ -90,20 +89,6 @@ def self_attr_target(node: ast.AST) -> Optional[str]:
             if found is not None:
                 return found
     return None
-
-
-def self_attr_reads(node: ast.AST) -> Set[str]:
-    """Every ``self.<attr>`` loaded anywhere inside ``node``."""
-    reads: Set[str] = set()
-    for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and isinstance(child.value, ast.Name)
-            and child.value.id == "self"
-            and isinstance(child.ctx, ast.Load)
-        ):
-            reads.add(child.attr)
-    return reads
 
 
 def owned_lock_attrs(class_node: ast.ClassDef) -> Set[str]:

@@ -1,34 +1,29 @@
 """The analysis engine: file discovery, rule dispatch, triage.
 
 One :func:`run_analysis` call walks the requested paths, parses each
-``.py`` file once into a :class:`~repro.analysis.registry.ParsedModule`,
-lets every in-scope **per-file** rule visit its tree, then hands the whole
-module list to every **program** rule (whole-program passes like the
-concurrency analyzer).  Raw findings from both stages triage three ways:
+``.py`` file once and lets every in-scope rule visit its tree.  Findings
+triage two ways:
 
 * **suppressed** — an inline ``# repro: disable=<rule-id>`` covers the line;
-* **baselined** — the finding's key is in the committed baseline;
 * **new** — everything else; these fail the lint guard.
 
-The run also audits the baseline itself: accepted keys whose file was
-scanned but produced no matching finding are reported as **stale** so the
-baseline cannot quietly rot as code moves (satellite of PR 9; the tier-1
-guard asserts none exist).
+The run also audits the suppressions themselves: a directive that covers
+no finding (its code was fixed or moved, or it names no known rule) is
+reported as an **unused suppression** and fails the run too, so a finding
+is always either fixed or silenced by a comment that still applies.
 
 Paths inside findings are relative to ``root`` (posix separators) so the
-baseline is stable regardless of where the analyzer is invoked from.
+report reads the same regardless of where the analyzer is invoked from.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
-from repro.analysis.baseline import load_baseline, partition_findings, stale_keys
-from repro.analysis.registry import Finding, ParsedModule, ProgramRule, Rule, all_rules
+from repro.analysis.registry import Finding, Rule, all_rules
 from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "run_analysis",
     "iter_python_files",
     "analyze_source",
-    "changed_files",
 ]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "node_modules"}
@@ -45,11 +39,12 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "node_modul
 
 @dataclass
 class FileReport:
-    """Raw per-file output before baseline triage."""
+    """Triaged output for one file."""
 
     path: str
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
+    unused: List[Finding] = field(default_factory=list)
     error: Optional[str] = None
 
 
@@ -58,26 +53,16 @@ class AnalysisResult:
     """Triaged output of one analyzer run."""
 
     new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
+    unused_suppressions: List[Finding] = field(default_factory=list)
     errors: List[FileReport] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when nothing new was found (parse errors still fail).
-
-        Stale baseline entries do not flip ``ok`` — they are a warning the
-        guard surfaces separately, so a scoped run can't hard-fail on
-        baseline keys it merely didn't look at.
-        """
-        return not self.new and not self.errors
-
-    @property
-    def all_findings(self) -> List[Finding]:
-        return sorted(self.new + self.baselined)
+        """True when nothing new was found and every suppression is used."""
+        return not self.new and not self.unused_suppressions and not self.errors
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -104,67 +89,32 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     return iter(sorted(collected))
 
 
-def changed_files(base: str = "HEAD", cwd: Optional[str] = None) -> Optional[List[str]]:
-    """Python files changed vs ``base`` plus untracked ones, or ``None``.
-
-    ``None`` (not an empty list) means "git unavailable / not a repo" —
-    callers fall back to the full sweep.  An empty list is a real answer:
-    nothing changed, nothing to lint.
-    """
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names: List[str] = []
-    seen: Set[str] = set()
-    for block in (diff.stdout, untracked.stdout):
-        for name in block.splitlines():
-            name = name.strip()
-            if name.endswith(".py") and name not in seen:
-                seen.add(name)
-                names.append(name)
-    return sorted(names)
-
-
 def _relpath(path: str, root: str) -> str:
     absolute = os.path.abspath(path)
     relative = os.path.relpath(absolute, root)
     if relative.startswith(".."):
         # Outside the root: keep the absolute path rather than a ../ chain
-        # that would make baseline keys depend on the invocation directory.
+        # that would make reported paths depend on the invocation directory.
         relative = absolute
     return relative.replace(os.sep, "/")
 
 
-def _split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule], List[ProgramRule]]:
-    per_file = [rule for rule in rules if not isinstance(rule, ProgramRule)]
-    program = [rule for rule in rules if isinstance(rule, ProgramRule)]
-    return per_file, program
+def _audited(rule_id: str, active: Set[str], known: Set[str]) -> bool:
+    """Whether this run can judge a directive naming ``rule_id`` unused.
+
+    A run restricted to some rules cannot tell whether a directive for a
+    rule it skipped still covers a finding; unknown ids never can.
+    """
+    if rule_id == "all":
+        return active >= known
+    return rule_id in active or rule_id not in known
 
 
 def analyze_source(
     source: str, relpath: str, rules: Optional[Sequence[Rule]] = None
 ) -> FileReport:
-    """Run the rule set over one in-memory module (the unit-test entry).
-
-    Program rules in ``rules`` see a one-module program — exactly what the
-    fixture corpus wants, since each fixture file is self-contained.
-    """
+    """Run the rule set over one in-memory module and triage its findings."""
     rules = list(rules) if rules is not None else all_rules()
-    per_file, program = _split_rules(rules)
     report = FileReport(path=relpath)
     try:
         tree = ast.parse(source, filename=relpath)
@@ -173,73 +123,44 @@ def analyze_source(
         return report
     lines = source.splitlines()
     suppressions = SuppressionIndex(lines, tree=tree)
-    module = ParsedModule(path=relpath, tree=tree, lines=lines)
     raw: List[Finding] = []
-    for rule in per_file:
+    for rule in rules:
         if rule.applies_to(relpath):
             raw.extend(rule.check(tree, lines, relpath))
-    for rule in program:
-        raw.extend(rule.check_program([module]))
     for finding in sorted(raw):
         if suppressions.is_suppressed(finding):
             report.suppressed.append(finding)
         else:
             report.findings.append(finding)
+    active = {rule.rule_id for rule in rules}
+    known = {rule.rule_id for rule in all_rules()}
+    for line, rule_id in suppressions.unused():
+        if not _audited(rule_id, active, known):
+            continue
+        if rule_id == "all" or rule_id in known:
+            message = f"disable={rule_id} covers no finding"
+        else:
+            message = f"disable={rule_id} names no known rule"
+        report.unused.append(
+            Finding(path=relpath, line=line, col=0, rule_id=rule_id, message=message)
+        )
     return report
 
 
-def run_analysis(
-    paths: Sequence[str],
-    root: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline_path: Optional[str] = None,
-) -> AnalysisResult:
-    """Analyze ``paths`` and triage findings against the baseline."""
+def run_analysis(paths: Sequence[str], root: Optional[str] = None) -> AnalysisResult:
+    """Analyze every Python file under ``paths`` with every registered rule."""
     root = os.path.abspath(root or os.getcwd())
-    rules = list(rules) if rules is not None else all_rules()
-    per_file, program = _split_rules(rules)
-    accepted = load_baseline(baseline_path) if baseline_path else set()
+    rules = all_rules()
     result = AnalysisResult(rules_run=len(rules))
-    collected: List[Finding] = []
-    modules: List[ParsedModule] = []
-    suppressions: Dict[str, SuppressionIndex] = {}
     for path in iter_python_files(paths):
-        relative = _relpath(path, root)
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         result.files_scanned += 1
-        try:
-            tree = ast.parse(source, filename=relative)
-        except SyntaxError as exc:
-            result.errors.append(
-                FileReport(
-                    path=relative,
-                    error=f"syntax error: {exc.msg} (line {exc.lineno})",
-                )
-            )
+        report = analyze_source(source, _relpath(path, root), rules)
+        if report.error is not None:
+            result.errors.append(report)
             continue
-        lines = source.splitlines()
-        index = suppressions[relative] = SuppressionIndex(lines, tree=tree)
-        modules.append(ParsedModule(path=relative, tree=tree, lines=lines))
-        for rule in per_file:
-            if not rule.applies_to(relative):
-                continue
-            for finding in rule.check(tree, lines, relative):
-                if index.is_suppressed(finding):
-                    result.suppressed.append(finding)
-                else:
-                    collected.append(finding)
-    for rule in program:
-        for finding in rule.check_program(modules):
-            index = suppressions.get(finding.path)
-            if index is not None and index.is_suppressed(finding):
-                result.suppressed.append(finding)
-            else:
-                collected.append(finding)
-    result.new, result.baselined = partition_findings(sorted(collected), accepted)
-    result.suppressed.sort()
-    produced = {f.key for f in collected} | {f.key for f in result.suppressed}
-    scanned = {module.path for module in modules}
-    active = {rule.rule_id for rule in rules}
-    result.stale_baseline = stale_keys(accepted, produced, scanned, active)
+        result.new.extend(report.findings)
+        result.suppressed.extend(report.suppressed)
+        result.unused_suppressions.extend(report.unused)
     return result

@@ -1,10 +1,10 @@
 """Rule registry and the finding model for the static-analysis framework.
 
 A *rule* is a small ``ast``-level check with a stable identifier (the token
-used in ``# repro: disable=<rule-id>`` comments and in the committed
-baseline), a *family* grouping related invariants, and an optional *scope*
-restricting it to the modules where its invariant actually holds (e.g.
-``unstable-argsort`` only bites in tie-breaking ranking paths).
+used in ``# repro: disable=<rule-id>`` comments), a *family* grouping
+related invariants, and an optional *scope* restricting it to the modules
+where its invariant actually holds (e.g. ``unstable-argsort`` only bites in
+tie-breaking ranking paths).
 
 Rules register themselves with :func:`register` at import time; the engine
 asks :func:`all_rules` for one fresh instance of each.  Registration is
@@ -14,13 +14,11 @@ idempotent by rule id so re-imports (pytest, reload) never double-report.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Type
 
 __all__ = [
     "Finding",
-    "ParsedModule",
-    "ProgramRule",
     "Rule",
     "register",
     "all_rules",
@@ -33,9 +31,10 @@ __all__ = [
 class Finding:
     """One rule violation at an exact source location.
 
-    ``path`` is root-relative with ``/`` separators so baseline keys are
-    portable; ``line``/``col`` are 1-based line and 0-based column straight
-    from the ``ast`` node that triggered the rule.
+    ``path`` is root-relative with ``/`` separators so reports do not
+    depend on the invocation directory; ``line``/``col`` are 1-based line
+    and 0-based column straight from the ``ast`` node that triggered the
+    rule.
     """
 
     path: str
@@ -43,37 +42,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-
-    @property
-    def key(self) -> str:
-        """Stable identity used by baselines: path, rule and line."""
-        return f"{self.path}:{self.rule_id}:{self.line}"
-
-
-@dataclass
-class ParsedModule:
-    """One parsed source file as whole-program rules see it.
-
-    ``path`` is the same root-relative posix path findings carry, so a
-    program rule's findings triage against suppressions and the baseline
-    exactly like per-file findings do.
-    """
-
-    path: str
-    tree: ast.Module
-    lines: Sequence[str] = field(default_factory=list)
-
-    @property
-    def module_name(self) -> str:
-        """Dotted module name guessed from the path (``src/`` stripped)."""
-        parts = self.path.replace("\\", "/").split("/")
-        if parts and parts[0] == "src":
-            parts = parts[1:]
-        if parts and parts[-1].endswith(".py"):
-            parts[-1] = parts[-1][: -len(".py")]
-        if parts and parts[-1] == "__init__":
-            parts = parts[:-1]
-        return ".".join(parts)
 
 
 class Rule:
@@ -109,23 +77,6 @@ class Rule:
             rule_id=self.rule_id,
             message=message,
         )
-
-
-class ProgramRule(Rule):
-    """A whole-program check: sees every parsed module in one call.
-
-    Program rules run after the per-file sweep with the full module list;
-    their findings carry ordinary (path, line) anchors and flow through the
-    same suppression/baseline triage.  ``applies_to`` still scopes which
-    files *contribute* to the program view for this rule (the engine passes
-    every module; rules filter themselves if they care).
-    """
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List["Finding"]:
-        return []  # per-file entry point intentionally inert
-
-    def check_program(self, modules: Sequence[ParsedModule]) -> List["Finding"]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}

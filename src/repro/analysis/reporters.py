@@ -18,7 +18,7 @@ def _group_by_path(findings: List[Finding]) -> Dict[str, List[Finding]]:
     return grouped
 
 
-def render_human(result: AnalysisResult, verbose: bool = False) -> str:
+def render_human(result: AnalysisResult) -> str:
     """Findings grouped by file, plus a one-line summary."""
     out: List[str] = []
     for path, findings in sorted(_group_by_path(result.new).items()):
@@ -29,16 +29,10 @@ def render_human(result: AnalysisResult, verbose: bool = False) -> str:
             )
     for report in result.errors:
         out.append(f"{report.path}: {report.error}")
-    if result.stale_baseline:
-        out.append("stale baseline entries (no longer produced; run --prune-baseline):")
-        for key in result.stale_baseline:
-            out.append(f"  {key}")
-    if verbose and result.baselined:
-        out.append("baselined findings:")
-        for finding in sorted(result.baselined):
-            out.append(
-                f"  {finding.path}:{finding.line}  {finding.rule_id}  {finding.message}"
-            )
+    if result.unused_suppressions:
+        out.append("unused suppressions (delete the comment or correct its rule id):")
+        for finding in result.unused_suppressions:
+            out.append(f"  {finding.path}:{finding.line}  {finding.message}")
     per_rule: Dict[str, int] = {}
     for finding in result.new:
         per_rule[finding.rule_id] = per_rule.get(finding.rule_id, 0) + 1
@@ -50,8 +44,8 @@ def render_human(result: AnalysisResult, verbose: bool = False) -> str:
         )
     out.append(
         f"{result.files_scanned} files, {result.rules_run} rules: "
-        f"{len(result.new)} new, {len(result.baselined)} baselined, "
-        f"{len(result.suppressed)} suppressed"
+        f"{len(result.new)} new, {len(result.suppressed)} suppressed, "
+        f"{len(result.unused_suppressions)} unused suppressions"
         + (f", {len(result.errors)} parse errors" if result.errors else "")
     )
     return "\n".join(out)
@@ -75,15 +69,13 @@ def result_payload(result: AnalysisResult) -> Dict[str, object]:
             "files_scanned": result.files_scanned,
             "rules_run": result.rules_run,
             "new": len(result.new),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
+            "unused_suppressions": len(result.unused_suppressions),
             "errors": len(result.errors),
-            "stale_baseline": len(result.stale_baseline),
         },
-        "stale_baseline": list(result.stale_baseline),
         "new": [_finding_dict(f) for f in result.new],
-        "baselined": [_finding_dict(f) for f in result.baselined],
         "suppressed": [_finding_dict(f) for f in result.suppressed],
+        "unused_suppressions": [_finding_dict(f) for f in result.unused_suppressions],
         "errors": [
             {"path": report.path, "error": report.error} for report in result.errors
         ],

@@ -1,20 +1,16 @@
 """Rule families — importing this package registers every rule.
 
-Seven families, each encoding an invariant the oracle-equivalence story
-depends on: lock discipline (shared state under its lock), whole-program
-concurrency (deadlock-free lock ordering, no blocking under a lock),
-determinism (no entropy in ranking paths), numpy-kernel hygiene (portable,
-fully initialised numerics), API hygiene (exception- and call-safety),
-persistence (durable writes are atomic) and observability (enumerable,
-bounded metric vocabulary).
+Six families, each encoding an invariant the oracle-equivalence story
+depends on: lock discipline (shared state under its lock, locks created
+through the named factories the runtime witness sees), determinism (stable
+sorts where ties break rankings), numpy-kernel hygiene (explicit dtypes),
+API hygiene (exception-safe mode flips), persistence (durable writes are
+atomic) and observability (enumerable, bounded metric vocabulary).
 """
 
 from repro.analysis.rules import (
     api_hygiene,
-    concurrency,
-    conversation,
     determinism,
-    inference,
     locks,
     numpy_kernels,
     observability,
@@ -23,10 +19,7 @@ from repro.analysis.rules import (
 
 __all__ = [
     "api_hygiene",
-    "concurrency",
-    "conversation",
     "determinism",
-    "inference",
     "locks",
     "numpy_kernels",
     "observability",

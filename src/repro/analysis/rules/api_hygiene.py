@@ -1,10 +1,8 @@
-"""API-hygiene rules.
+"""API-hygiene rule.
 
-General correctness hazards that have each bitten this codebase (or nearly
-did): bare ``except:`` swallowing ``KeyboardInterrupt``/``SystemExit`` in
-long-running servers, mutable default arguments shared across calls, and
-mode flips (``.eval()`` / ``.train()`` / ``self.training = ...``) whose
-restore is not protected by ``try/finally`` — the exact bug class fixed by
+Mode flips (``.eval()`` / ``.train()`` / ``self.training = ...``) whose
+restore is not protected by ``try/finally`` leave a model stuck in the
+wrong mode when the work in between raises — the exact bug class fixed by
 hand in ``SequenceTagger.predict``.
 """
 
@@ -16,67 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.astutil import dotted_name
 from repro.analysis.registry import Finding, Rule, register
 
-__all__ = ["BareExcept", "MutableDefault", "ModeFlipNoRestore", "NoPrintInSrc"]
-
-_MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "OrderedDict", "defaultdict", "deque"})
-
-
-@register
-class BareExcept(Rule):
-    rule_id = "bare-except"
-    family = "api-hygiene"
-    summary = "bare except: catches SystemExit and KeyboardInterrupt"
-    rationale = (
-        "`except:` (and `except BaseException:` without re-raise intent) "
-        "traps interpreter shutdown signals; serving loops become "
-        "unkillable.  Catch Exception or something narrower."
-    )
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                findings.append(self.finding(node, relpath, "bare except: clause"))
-        return findings
-
-
-@register
-class MutableDefault(Rule):
-    rule_id = "mutable-default"
-    family = "api-hygiene"
-    summary = "mutable default argument shared across calls"
-    rationale = (
-        "A list/dict/set default is evaluated once at def time; every call "
-        "mutating it leaks state across requests.  Default to None and "
-        "allocate inside the function."
-    )
-
-    @staticmethod
-    def _is_mutable(node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            return name is not None and name.split(".")[-1] in _MUTABLE_FACTORIES
-        return False
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    label = getattr(node, "name", "<lambda>")
-                    findings.append(
-                        self.finding(
-                            default, relpath, f"mutable default argument in {label}()"
-                        )
-                    )
-        return findings
+__all__ = ["ModeFlipNoRestore"]
 
 
 def _mode_flip(node: ast.AST) -> Optional[Tuple[str, str]]:
@@ -137,40 +75,4 @@ class ModeFlipNoRestore(Rule):
                     )
                     break
                 seen[receiver] = (statement, description)
-        return findings
-
-
-@register
-class NoPrintInSrc(Rule):
-    rule_id = "no-print-in-src"
-    family = "api-hygiene"
-    summary = "print() in library code instead of the structured logger"
-    rationale = (
-        "Library and server modules must not write free-form lines to "
-        "stdout: output belongs in repro.obs.log, where every record is "
-        "one JSON object stamped with the active trace/span ids.  CLI "
-        "entry points, the lint reporters and the logger's own emitter "
-        "are the sanctioned exceptions."
-    )
-
-    #: path suffixes where print() is the interface, not a leak.
-    _EXEMPT_SUFFIXES = ("cli.py", "analysis/reporters.py", "obs/log.py")
-
-    def applies_to(self, relpath: str) -> bool:
-        anchored = relpath.replace("\\", "/")
-        return not any(anchored.endswith(suffix) for suffix in self._EXEMPT_SUFFIXES)
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                findings.append(
-                    self.finding(
-                        node, relpath, "print() bypasses the structured logger"
-                    )
-                )
         return findings

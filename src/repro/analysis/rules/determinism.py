@@ -1,10 +1,11 @@
-"""Determinism rules.
+"""Determinism rule.
 
 Rankings in a subjective search engine are only auditable if they are
 reproducible: the same corpus, index generation and query must produce the
-same bytes.  These rules ban the usual entropy leaks — process-global RNG
-state, wall-clock reads inside scoring, set-iteration order feeding ordered
-output, and unstable sorts in tie-breaking paths.
+same bytes.  ``np.argsort`` defaults to an unstable sort, so in the modules
+where argsort order breaks ties between equal scores it must say
+``kind="stable"`` (or carry a suppression explaining why ties cannot reach
+the output).
 """
 
 from __future__ import annotations
@@ -15,139 +16,12 @@ from typing import List, Sequence
 from repro.analysis.astutil import call_name
 from repro.analysis.registry import Finding, Rule, register
 
-__all__ = ["GlobalRng", "WallclockInRanking", "SetIterationOrder", "UnstableArgsort"]
-
-#: modules whose outputs are ranked / scored — wall-clock reads here leak
-#: entropy straight into degree-of-truth scores.
-RANKING_MODULES = (
-    "core/filtering",
-    "core/index",
-    "core/saccs",
-    "core/session",
-    "ir/",
-    "text/similarity",
-)
+__all__ = ["UnstableArgsort"]
 
 #: modules where argsort order breaks ties between equal scores.
 TIE_BREAK_MODULES = ("core/", "ir/", "nn/crf", "text/similarity")
 
-_GLOBAL_RANDOM_FNS = frozenset(
-    {
-        "random", "seed", "randint", "randrange", "choice", "choices",
-        "shuffle", "sample", "uniform", "gauss", "normalvariate",
-        "getrandbits", "betavariate", "expovariate", "triangular",
-    }
-)
-_NP_RANDOM_ALLOWED = frozenset(
-    {"default_rng", "Generator", "RandomState", "SeedSequence", "BitGenerator", "PCG64"}
-)
-_WALLCLOCK_CALLS = frozenset(
-    {"time.time", "time.monotonic", "time.perf_counter", "time.time_ns",
-     "datetime.now", "datetime.utcnow", "datetime.datetime.now",
-     "datetime.datetime.utcnow", "date.today", "datetime.date.today"}
-)
 _STABLE_KINDS = frozenset({"stable", "mergesort"})
-
-
-@register
-class GlobalRng(Rule):
-    rule_id = "global-rng"
-    family = "determinism"
-    summary = "call mutates or draws from process-global RNG state"
-    rationale = (
-        "Module-level random.*/np.random.* share hidden global state across "
-        "threads and call sites; one stray draw desynchronises every seeded "
-        "run.  Pass an explicit random.Random / np.random.Generator instead."
-    )
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = call_name(node.func)
-            if callee is None:
-                continue
-            parts = callee.split(".")
-            if parts[0] == "random" and len(parts) == 2 and parts[1] in _GLOBAL_RANDOM_FNS:
-                findings.append(
-                    self.finding(node, relpath, f"{callee}() draws from the global RNG")
-                )
-            elif (
-                len(parts) == 3
-                and parts[0] in ("np", "numpy")
-                and parts[1] == "random"
-                and parts[2] not in _NP_RANDOM_ALLOWED
-            ):
-                findings.append(
-                    self.finding(
-                        node, relpath, f"{callee}() uses numpy's global RNG state"
-                    )
-                )
-        return findings
-
-
-@register
-class WallclockInRanking(Rule):
-    rule_id = "wallclock-in-ranking"
-    family = "determinism"
-    summary = "wall-clock read inside a scoring/ranking module"
-    rationale = (
-        "Scores must be a pure function of corpus + query + generation; a "
-        "clock read in a ranking module makes results irreproducible.  Time "
-        "belongs in the serving/metrics layer, injected as a `clock=` dep."
-    )
-    scope = RANKING_MODULES
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and call_name(node.func) in _WALLCLOCK_CALLS:
-                findings.append(
-                    self.finding(
-                        node,
-                        relpath,
-                        f"{call_name(node.func)}() read inside a ranking module",
-                    )
-                )
-        return findings
-
-
-@register
-class SetIterationOrder(Rule):
-    rule_id = "set-iteration-order"
-    family = "determinism"
-    summary = "iteration over a fresh set feeds order-sensitive output"
-    rationale = (
-        "Set iteration order depends on insertion history and hash "
-        "randomisation; `for x in set(...)` or list(set(...)) silently "
-        "reorders downstream output.  Wrap in sorted(...) to fix the order."
-    )
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.For, ast.comprehension)):
-                iterable = node.iter
-                if call_name(iterable) in ("set", "frozenset"):
-                    findings.append(
-                        self.finding(
-                            iterable,
-                            relpath,
-                            "iterating a set() in nondeterministic order",
-                        )
-                    )
-            elif isinstance(node, ast.Call) and call_name(node.func) in ("list", "tuple"):
-                if node.args and call_name(node.args[0]) in ("set", "frozenset"):
-                    findings.append(
-                        self.finding(
-                            node,
-                            relpath,
-                            f"{call_name(node.func)}(set(...)) materialises "
-                            "nondeterministic order",
-                        )
-                    )
-        return findings
 
 
 @register

@@ -11,13 +11,16 @@ rules encode the repo conventions:
 * worker/batcher threads must be daemonic so a crashed caller cannot leave
   the process wedged on join;
 * check-then-act sequences on shared flags (``if self._running: ...`` then
-  ``self._running = x``) must happen atomically under the lock.
+  ``self._running = x``) must happen atomically under the lock;
+* library code creates locks through the named ``repro.utils.locks``
+  factories, never raw ``threading`` primitives, so the runtime lock-order
+  witness (``REPRO_LOCK_WITNESS=1``) sees every lock by its canonical name.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
     MUTATOR_METHODS,
@@ -29,7 +32,7 @@ from repro.analysis.astutil import (
 )
 from repro.analysis.registry import Finding, Rule, register
 
-__all__ = ["UnguardedAttrWrite", "ThreadNoDaemon", "CheckThenAct"]
+__all__ = ["UnguardedAttrWrite", "ThreadNoDaemon", "CheckThenAct", "LockFactory"]
 
 _EXEMPT_METHODS = {"__init__", "__new__", "__del__", "__post_init__"}
 
@@ -242,4 +245,60 @@ class CheckThenAct(Rule):
                             )
                         )
                         break  # one report per method is enough
+        return findings
+
+
+@register
+class LockFactory(Rule):
+    rule_id = "lock-factory"
+    family = "lock-discipline"
+    summary = "raw threading lock; create via repro.utils.locks factories"
+    rationale = (
+        "Locks created through make_lock()/make_rlock() carry a stable "
+        "order name, which is what lets the REPRO_LOCK_WITNESS runtime "
+        "witness identify them and check them against CANONICAL_ORDER.  "
+        "A raw threading.Lock() is invisible to it."
+    )
+
+    _FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
+    #: library code only — tests and fixtures may build raw locks freely.
+    scope = ("src/",)
+    #: the factory module itself wraps the raw primitives — that is its job.
+    _EXEMPT_SUFFIXES = ("utils/locks.py",)
+
+    def applies_to(self, relpath: str) -> bool:
+        anchored = relpath.replace("\\", "/")
+        if any(anchored.endswith(suffix) for suffix in self._EXEMPT_SUFFIXES):
+            return False
+        return super().applies_to(relpath)
+
+    @staticmethod
+    def _is_threading_primitive(call: ast.Call) -> Optional[str]:
+        name = call_name(call)
+        if name is None:
+            return None
+        parts = name.split(".")
+        if parts[-1] not in LockFactory._FACTORIES:
+            return None
+        # Require the threading module (or a bare imported name) so e.g.
+        # multiprocessing.Lock() in unrelated code does not false-positive.
+        if len(parts) == 1 or parts[0] == "threading":
+            return name
+        return None
+
+    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = self._is_threading_primitive(node)
+            if name is not None:
+                findings.append(
+                    self.finding(
+                        node,
+                        relpath,
+                        f"{name}() bypasses repro.utils.locks (invisible to the "
+                        "lock-order witness)",
+                    )
+                )
         return findings

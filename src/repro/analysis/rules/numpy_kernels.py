@@ -1,23 +1,21 @@
-"""Numpy-kernel hygiene rules.
+"""Numpy-kernel hygiene rule.
 
 The vectorized kernels (similarity matmuls, batch Viterbi) are oracle-
-checked byte-for-byte against scalar implementations, which makes three
-numpy habits dangerous: ``np.empty`` buffers that are never fully written
-(uninitialised memory reaches the comparison), ``==``/``!=`` between float
-arrays (bitwise equality is not numeric equality after reassociation), and
-dtype left to inference (int32/int64 or float32/float64 drift between
-platforms changes accumulation order and overflow behaviour).
+checked byte-for-byte against scalar implementations, so their dtypes are
+spelled out rather than left to inference: int32/int64 or float32/float64
+drift between platforms and inputs changes accumulation order and overflow
+behaviour.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence
 
 from repro.analysis.astutil import call_name, has_keyword
 from repro.analysis.registry import Finding, Rule, register
 
-__all__ = ["EmptyNoFill", "FloatArrayCompare", "ImplicitDtype"]
+__all__ = ["ImplicitDtype"]
 
 #: modules holding the oracle-checked numeric kernels.
 KERNEL_MODULES = ("nn/", "text/similarity")
@@ -25,16 +23,6 @@ KERNEL_MODULES = ("nn/", "text/similarity")
 #: numpy constructors whose dtype must be spelled out inside kernels.
 _DTYPE_REQUIRED = frozenset(
     {"array", "zeros", "ones", "empty", "full", "asarray", "arange", "eye"}
-)
-
-#: numpy calls whose result is a float array — comparing them with ==
-#: instead of np.isclose/allclose is almost always a bug.
-_FLOAT_PRODUCERS = frozenset(
-    {
-        "dot", "matmul", "exp", "log", "log1p", "expm1", "sqrt", "tanh",
-        "sin", "cos", "mean", "std", "var", "divide", "true_divide",
-        "softmax", "logsumexp", "linalg.norm", "einsum",
-    }
 )
 
 
@@ -47,123 +35,6 @@ def _np_call_suffix(node: ast.AST) -> str:
     if parts[0] in ("np", "numpy") and len(parts) >= 2:
         return ".".join(parts[1:])
     return ""
-
-
-class _FunctionScan(ast.NodeVisitor):
-    """Per-function facts: np.empty buffers and names bound to float arrays."""
-
-    def __init__(self):
-        self.empty_buffers: Dict[str, ast.Call] = {}
-        self.filled: Set[str] = set()
-        self.float_names: Set[str] = set()
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        suffix = _np_call_suffix(node.value)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if suffix == "empty":
-                    self.empty_buffers[target.id] = node.value
-                elif suffix in _FLOAT_PRODUCERS:
-                    self.float_names.add(target.id)
-            elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-                self.filled.add(target.value.id)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target = node.target
-        if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-            self.filled.add(target.value.id)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        # buffer.fill(x) and np.copyto(buffer, ...) / out=buffer count as writes.
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "fill":
-            if isinstance(node.func.value, ast.Name):
-                self.filled.add(node.func.value.id)
-        for keyword in node.keywords:
-            if keyword.arg == "out" and isinstance(keyword.value, ast.Name):
-                self.filled.add(keyword.value.id)
-        if _np_call_suffix(node) == "copyto" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Name):
-                self.filled.add(first.id)
-        self.generic_visit(node)
-
-
-def _functions(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-@register
-class EmptyNoFill(Rule):
-    rule_id = "empty-no-fill"
-    family = "numpy-kernel"
-    summary = "np.empty buffer with no subsequent write in the same function"
-    rationale = (
-        "np.empty returns uninitialised memory; if no element store, .fill "
-        "or out= write follows in the same function, garbage bytes flow "
-        "into oracle comparisons and flake nondeterministically."
-    )
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for function in _functions(tree):
-            scan = _FunctionScan()
-            for statement in function.body:
-                scan.visit(statement)
-            for name, call in scan.empty_buffers.items():
-                if name not in scan.filled:
-                    findings.append(
-                        self.finding(
-                            call,
-                            relpath,
-                            f"np.empty buffer {name!r} is never written in "
-                            f"{function.name}()",
-                        )
-                    )
-        return findings
-
-
-@register
-class FloatArrayCompare(Rule):
-    rule_id = "float-array-compare"
-    family = "numpy-kernel"
-    summary = "== / != between float array expressions"
-    rationale = (
-        "Vectorized kernels reassociate float ops, so bitwise equality "
-        "against another float result is exactly the comparison the oracle "
-        "tests forbid; use np.isclose/np.allclose with explicit tolerances."
-    )
-    scope = KERNEL_MODULES
-
-    def _is_float_expr(self, node: ast.AST, float_names: Set[str]) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in float_names
-        return _np_call_suffix(node) in _FLOAT_PRODUCERS
-
-    def check(self, tree: ast.Module, lines: Sequence[str], relpath: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for function in _functions(tree):
-            scan = _FunctionScan()
-            for statement in function.body:
-                scan.visit(statement)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Compare):
-                    continue
-                if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                    continue
-                operands = [node.left] + list(node.comparators)
-                if any(self._is_float_expr(op, scan.float_names) for op in operands):
-                    findings.append(
-                        self.finding(
-                            node,
-                            relpath,
-                            "float arrays compared with ==/!=; use np.isclose",
-                        )
-                    )
-        return findings
 
 
 @register

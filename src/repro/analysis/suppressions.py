@@ -4,8 +4,13 @@ A suppression on the same line as a finding silences it; a *comment-only*
 line silences the next code line (for statements too long to annotate
 inline).  ``disable=all`` silences every rule on that line.  Suppressions
 are deliberately line-scoped — block- or file-level escapes would let a
-whole module drift out from under an invariant, which is exactly what the
-baseline file (reviewed, committed, diffable) is for instead.
+whole module drift out from under an invariant.
+
+Every directive must earn its place: the index records which (comment line,
+rule id) pairs silenced a finding, and :meth:`SuppressionIndex.unused`
+returns the rest so the engine can report them as errors.  A suppression
+left behind after its finding was fixed, or one naming a rule that does not
+exist, fails the lint run.
 
 When the parsed tree is available the index additionally understands two
 shapes where "the next code line" and "the line the finding anchors to"
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.registry import Finding
 
@@ -32,6 +37,9 @@ __all__ = ["SuppressionIndex", "SUPPRESSION_PATTERN"]
 
 SUPPRESSION_PATTERN = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\s\-]+)")
 _COMMENT_ONLY = re.compile(r"^\s*#")
+
+#: One directive: the line its comment sits on and the rule id it names.
+Directive = Tuple[int, str]
 
 #: Compound statements whose body lines must NOT forward suppressions onto
 #: the header — only the header span itself (decorators + signature) does.
@@ -50,16 +58,21 @@ _COMPOUND = (
 
 
 class SuppressionIndex:
-    """Per-file map of line number → rule ids suppressed on that line."""
+    """Per-file map of line number → directives that cover that line."""
 
     def __init__(self, lines: Sequence[str], tree: Optional[ast.Module] = None):
-        self._by_line: Dict[int, Set[str]] = {}
+        self._by_line: Dict[int, Set[Directive]] = {}
+        self._directives: Set[Directive] = set()
+        self._used: Set[Directive] = set()
         for lineno, text in enumerate(lines, start=1):
             match = SUPPRESSION_PATTERN.search(text)
             if not match:
                 continue
-            rule_ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
-            self._add(lineno, rule_ids)
+            directives = {
+                (lineno, part.strip()) for part in match.group(1).split(",") if part.strip()
+            }
+            self._directives.update(directives)
+            self._add(lineno, directives)
             if _COMMENT_ONLY.match(text):
                 # A standalone suppression covers the first code line below
                 # it, skipping the rest of its comment block (justifications
@@ -67,12 +80,12 @@ class SuppressionIndex:
                 target = lineno + 1
                 while target <= len(lines) and _COMMENT_ONLY.match(lines[target - 1]):
                     target += 1
-                self._add(target, rule_ids)
+                self._add(target, directives)
         if tree is not None and self._by_line:
             self._attach_statement_spans(tree)
 
-    def _add(self, lineno: int, rule_ids: Set[str]) -> None:
-        self._by_line.setdefault(lineno, set()).update(rule_ids)
+    def _add(self, lineno: int, directives: Set[Directive]) -> None:
+        self._by_line.setdefault(lineno, set()).update(directives)
 
     # ---------------------------------------------------------------- spans
 
@@ -96,7 +109,7 @@ class SuppressionIndex:
                 end = getattr(node, "end_lineno", None) or anchor
             if start == anchor and end == anchor:
                 continue
-            gathered: Set[str] = set()
+            gathered: Set[Directive] = set()
             for line in range(start, end + 1):
                 if line == anchor:
                     continue
@@ -122,10 +135,18 @@ class SuppressionIndex:
     # --------------------------------------------------------------- lookup
 
     def is_suppressed(self, finding: Finding) -> bool:
-        rule_ids = self._by_line.get(finding.line)
-        if not rule_ids:
-            return False
-        return "all" in rule_ids or finding.rule_id in rule_ids
+        """Whether a directive covers ``finding``; marks that directive used."""
+        hits = {
+            directive
+            for directive in self._by_line.get(finding.line, ())
+            if directive[1] in ("all", finding.rule_id)
+        }
+        self._used.update(hits)
+        return bool(hits)
+
+    def unused(self) -> List[Directive]:
+        """Directives that have not silenced any finding so far, sorted."""
+        return sorted(self._directives - self._used)
 
     def __len__(self) -> int:
         return len(self._by_line)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -379,19 +378,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        render_human,
-        render_json,
-        rules_by_family,
-        run_analysis,
-        write_baseline,
-    )
-    from repro.analysis.baseline import (
-        entry_key,
-        load_baseline_entries,
-        write_baseline_entries,
-    )
-    from repro.analysis.engine import changed_files
+    from repro.analysis import render_human, render_json, rules_by_family, run_analysis
 
     if args.list_rules:
         for family, rules in rules_by_family().items():
@@ -400,98 +387,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 scope = f"  [scope: {', '.join(rule.scope)}]" if rule.scope else ""
                 print(f"  {rule.rule_id:<24}{rule.summary}{scope}")
         return 0
-    paths = args.paths
-    if args.changed:
-        changed = changed_files(base=args.base, cwd=args.root)
-        if changed is None:
-            print("# not a git repo (or git unavailable); falling back to full sweep")
-        else:
-            paths = changed
-            if not paths:
-                print("no python files changed; nothing to lint")
-                return 0
-    baseline_path = None if args.no_baseline else args.baseline
-    result = run_analysis(paths, root=args.root, baseline_path=baseline_path)
-    if args.update_baseline:
-        count = write_baseline(args.baseline, result.new + result.baselined)
-        print(f"wrote {count} accepted findings to {args.baseline}")
-        return 0
-    if args.prune_baseline:
-        stale = set(result.stale_baseline)
-        entries = load_baseline_entries(args.baseline)
-        kept = [entry for entry in entries if entry_key(entry) not in stale]
-        if len(kept) < len(entries):
-            write_baseline_entries(args.baseline, kept)
-        print(
-            f"pruned {len(entries) - len(kept)} stale entries from "
-            f"{args.baseline} ({len(kept)} kept)"
-        )
-        return 0
+    result = run_analysis(args.paths, root=args.root)
     if args.format == "json":
         print(render_json(result))
     else:
-        print(render_human(result, verbose=args.verbose))
+        print(render_human(result))
     return 0 if result.ok else 1
-
-
-def _cmd_locks(args: argparse.Namespace) -> int:
-    import ast as _ast
-
-    from repro.analysis.concurrency import (
-        analyze_program,
-        render_dot,
-        render_locks_human,
-        report_payload,
-    )
-    from repro.analysis.engine import _relpath, iter_python_files, run_analysis
-    from repro.analysis.registry import ParsedModule, get_rule
-    from repro.analysis.reporters import result_payload
-
-    root = os.path.abspath(args.root or os.getcwd())
-    modules = []
-    for path in iter_python_files(args.paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            tree = _ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        modules.append(
-            ParsedModule(
-                path=_relpath(path, root), tree=tree, lines=source.splitlines()
-            )
-        )
-    report = analyze_program(modules)
-    if args.dot:
-        tmp = args.dot + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(render_dot(report) + "\n")
-        os.replace(tmp, args.dot)
-        # stderr so `--format json` stdout stays machine-parseable.
-        print(f"wrote {args.dot}", file=sys.stderr)
-
-    # Triage cycles/blocking through the same suppression + baseline
-    # machinery as `repro lint`, so intentional exceptions stay visible but
-    # non-failing and anything new fails the command (and the tier-1 guard).
-    rules = [get_rule("lock-order-cycle"), get_rule("lock-held-blocking")]
-    baseline_path = None if args.no_baseline else args.baseline
-    triage = run_analysis(args.paths, root=args.root, rules=rules, baseline_path=baseline_path)
-    if args.format == "json":
-        payload = report_payload(report)
-        payload["triage"] = result_payload(triage)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_locks_human(report))
-        if triage.suppressed or triage.baselined:
-            print(
-                f"(intentional: {len(triage.suppressed)} suppressed inline, "
-                f"{len(triage.baselined)} baselined)"
-            )
-        if triage.new:
-            print(f"{len(triage.new)} UNSUPPRESSED findings:")
-            for finding in triage.new:
-                print(f"  {finding.path}:{finding.line}  {finding.rule_id}  {finding.message}")
-    return 0 if triage.ok else 1
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -706,66 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="static analysis of concurrency/determinism/kernel invariants",
+        help="static analysis of lock, determinism and kernel invariants",
     )
     lint.add_argument("paths", nargs="*", default=["src"], help="files or directories")
     lint.add_argument("--format", choices=["human", "json"], default="human")
     lint.add_argument(
-        "--baseline",
-        default="analysis/baseline.json",
-        help="accepted-findings file (default: analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true", help="report baselined findings as new"
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept the current findings",
-    )
-    lint.add_argument(
         "--root", help="directory finding paths are made relative to (default: cwd)"
-    )
-    lint.add_argument(
-        "--verbose", action="store_true", help="also list baselined findings"
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed vs --base (full sweep outside git)",
-    )
-    lint.add_argument(
-        "--base", default="HEAD", help="git ref --changed diffs against (default: HEAD)"
-    )
-    lint.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries whose file+rule+line no longer fire",
-    )
     lint.set_defaults(func=_cmd_lint)
-
-    locks = subparsers.add_parser(
-        "locks",
-        help="whole-program lock-order graph, deadlock cycles, blocking-under-lock",
-    )
-    locks.add_argument("paths", nargs="*", default=["src"], help="files or directories")
-    locks.add_argument("--format", choices=["human", "json"], default="human")
-    locks.add_argument("--dot", help="also write the lock-order graph as Graphviz dot")
-    locks.add_argument(
-        "--baseline",
-        default="analysis/baseline.json",
-        help="accepted-findings file (default: analysis/baseline.json)",
-    )
-    locks.add_argument(
-        "--no-baseline", action="store_true", help="report baselined findings as new"
-    )
-    locks.add_argument(
-        "--root", help="directory finding paths are made relative to (default: cwd)"
-    )
-    locks.set_defaults(func=_cmd_locks)
 
     datasets = subparsers.add_parser("datasets", help="list the S1-S4 benchmarks")
     datasets.set_defaults(func=_cmd_datasets)

@@ -9,9 +9,8 @@ stage that closes that gap — classification/routing, coreference
 resolution, query rewriting and topic-shift detection — wired in front of
 :class:`~repro.core.extraction.ExtractionEngine` by the session layer.
 
-Everything here is deterministic by construction (no clock, no RNG; the
-``conversation-determinism`` lint rule enforces it), so a transcript fully
-determines every routing and resolution decision.
+Everything here is deterministic by construction (no clock, no RNG), so a
+transcript fully determines every routing and resolution decision.
 """
 
 from repro.conversation.classify import (

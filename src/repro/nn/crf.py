@@ -60,16 +60,16 @@ class LinearChainCRF(Module):
         """
         batch, steps, _ = emissions.shape
         if mask is None:
-            mask = np.ones((batch, steps))
+            mask = np.ones((batch, steps), dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
-        gold = self._path_score(emissions, np.asarray(tags), mask)
+        gold = self._path_score(emissions, np.asarray(tags, dtype=np.intp), mask)
         partition = self._partition(emissions, mask)
         nll = (partition - gold).sum() * (1.0 / batch)
         return nll
 
     def _path_score(self, emissions: Tensor, tags: np.ndarray, mask: np.ndarray) -> Tensor:
         batch, steps, _ = emissions.shape
-        batch_idx = np.arange(batch)
+        batch_idx = np.arange(batch, dtype=np.intp)
         lengths = mask.sum(axis=1).astype(int)
         last_idx = np.maximum(lengths - 1, 0)
         last_tags = tags[batch_idx, last_idx]
@@ -148,7 +148,7 @@ class LinearChainCRF(Module):
         emissions = np.asarray(emissions, dtype=np.float64)
         batch, steps, num_labels = emissions.shape
         if mask is None:
-            mask = np.ones((batch, steps))
+            mask = np.ones((batch, steps), dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
         if batch == 0 or steps == 0:
             return [[] for _ in range(batch)]
@@ -157,7 +157,7 @@ class LinearChainCRF(Module):
         use_beam = beam is not None and beam < num_labels
 
         score = self.start.data + emissions[:, 0, :]  # (B, L)
-        identity = np.broadcast_to(np.arange(num_labels), (batch, num_labels))
+        identity = np.broadcast_to(np.arange(num_labels, dtype=np.intp), (batch, num_labels))
         backpointers = np.empty((batch, steps, num_labels), dtype=np.int64)
         for t in range(1, steps):
             prev = score
@@ -186,7 +186,7 @@ class LinearChainCRF(Module):
         # the walk through padded steps a no-op, so every row's first
         # `length` positions hold its true Viterbi path.
         paths = np.empty((batch, steps), dtype=np.int64)
-        rows = np.arange(batch)
+        rows = np.arange(batch, dtype=np.intp)
         current = score.argmax(axis=1)
         paths[:, steps - 1] = current
         for t in range(steps - 1, 0, -1):
@@ -205,7 +205,7 @@ class LinearChainCRF(Module):
         emissions = np.asarray(emissions, dtype=np.float64)
         batch, steps, num_labels = emissions.shape
         if mask is None:
-            mask = np.ones((batch, steps))
+            mask = np.ones((batch, steps), dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
         transitions = self.transitions.data
         start = self.start.data
@@ -227,12 +227,12 @@ class LinearChainCRF(Module):
                     # repro: disable=unstable-argsort — oracle twin of the
                     # batched beam prune above; must keep the same kind.
                     keep = np.argsort(prev)[-beam:]
-                    pruned = np.full(num_labels, -np.inf)
+                    pruned = np.full(num_labels, -np.inf, dtype=np.float64)
                     pruned[keep] = prev[keep]
                     prev = pruned
                 total = prev[:, None] + transitions  # (L_prev, L_next)
                 best_prev = np.argmax(total, axis=0)
-                score = total[best_prev, np.arange(num_labels)] + emissions[b, t]
+                score = total[best_prev, np.arange(num_labels, dtype=np.intp)] + emissions[b, t]
                 history.append(best_prev)
             score = score + end
             best_last = int(np.argmax(score))

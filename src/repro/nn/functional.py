@@ -49,10 +49,10 @@ def cross_entropy(
         optional boolean/float array of the same shape as ``targets``;
         positions with mask 0 are excluded from the mean.
     """
-    targets = np.asarray(targets)
+    targets = np.asarray(targets, dtype=np.intp)
     log_probs = log_softmax(logits, axis=-1)
     flat = log_probs.reshape(-1, logits.shape[-1])
-    idx = (np.arange(flat.shape[0]), targets.reshape(-1))
+    idx = (np.arange(flat.shape[0], dtype=np.intp), targets.reshape(-1))
     picked = flat[idx]
     if mask is None:
         return -picked.mean()

@@ -14,8 +14,7 @@ of that is waste — the encode stage dominates bucketed ingest (see the
   ``(D, 3D)`` gemm operand, and each LayerNorm's scale/shift is folded
   into a single fused multiply-add pass in the target dtype.
 * **No tape, ever** — the forward is pure numpy; nothing in this module
-  constructs a ``Tensor`` or touches ``requires_grad`` (machine-enforced
-  by the ``tape-free-inference`` lint rule).
+  constructs a ``Tensor`` or touches ``requires_grad``.
 * **Preallocated scratch** — all large intermediates (QKV, attention
   scores/probs, FFN hidden, LSTM gates) live in per-geometry scratch
   buffers keyed by the ``(batch, words)`` shape of the length bucket, so

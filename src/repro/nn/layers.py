@@ -41,7 +41,7 @@ class Embedding(Module):
         self.weight = Parameter(init.normal(rng, (num_embeddings, embedding_dim), std=std))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        return self.weight.gather_rows(np.asarray(ids))
+        return self.weight.gather_rows(np.asarray(ids, dtype=np.intp))
 
 
 class LayerNorm(Module):
@@ -51,8 +51,8 @@ class LayerNorm(Module):
         super().__init__()
         self.dim = dim
         self.eps = eps
-        self.gamma = Parameter(np.ones((dim,)))
-        self.beta = Parameter(np.zeros((dim,)))
+        self.gamma = Parameter(np.ones((dim,), dtype=np.float64))
+        self.beta = Parameter(np.zeros((dim,), dtype=np.float64))
 
     def __call__(self, x: Tensor) -> Tensor:
         mu = x.mean(axis=-1, keepdims=True)

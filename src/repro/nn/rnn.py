@@ -33,7 +33,7 @@ class LSTM(Module):
         h = hidden_size
         self.w_ih = Parameter(init.xavier_uniform(rng, (4 * h, input_size)))
         self.w_hh = Parameter(np.concatenate([init.orthogonal(rng, (h, h)) for _ in range(4)], axis=0))
-        bias = np.zeros(4 * h)
+        bias = np.zeros(4 * h, dtype=np.float64)
         bias[h : 2 * h] = 1.0  # forget gate
         self.bias = Parameter(bias)
 
@@ -63,11 +63,11 @@ class LSTM(Module):
         batch, steps, _ = x.shape
         h_size = self.hidden_size
         if mask is None:
-            mask = np.ones((batch, steps))
+            mask = np.ones((batch, steps), dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
 
-        h = Tensor(np.zeros((batch, h_size)))
-        c = Tensor(np.zeros((batch, h_size)))
+        h = Tensor(np.zeros((batch, h_size), dtype=np.float64))
+        c = Tensor(np.zeros((batch, h_size), dtype=np.float64))
         w_ih_t = self.w_ih.swapaxes(0, 1)
         w_hh_t = self.w_hh.swapaxes(0, 1)
         # Pre-compute the input contribution for all steps at once.

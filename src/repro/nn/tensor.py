@@ -372,7 +372,7 @@ class Tensor:
         ``self`` has shape ``(V, D)``; ``indices`` any integer shape ``S``;
         result has shape ``S + (D,)``.
         """
-        indices = np.asarray(indices)
+        indices = np.asarray(indices, dtype=np.intp)
         out = self.data[indices]
         shape = self.data.shape
 

@@ -4,7 +4,7 @@ Every record is one JSON object per line with sorted keys, stamped with the
 active trace and span ids when a trace is live in the calling context, so a
 grep for a trace id surfaces both its span tree (``repro trace``) and every
 log line emitted on its behalf.  Library code must log through here rather
-than ``print()`` — enforced by the ``no-print-in-src`` lint rule.
+than ``print()``.
 """
 
 from __future__ import annotations

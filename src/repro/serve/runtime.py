@@ -249,13 +249,13 @@ class SaccsRuntime:
             if not self._running:
                 return
             if self.collector is not None:
-                # repro: disable=lock-held-blocking — stop() only joins the
+                # Held across stop() on purpose: it only joins the
                 # sampler thread, which wakes on its event immediately; the
                 # lifecycle lock must cover it so a racing start() cannot
                 # respawn the collector mid-teardown.
                 self.collector.stop()
             self._running = False
-            # repro: disable=lock-held-blocking — the request queue is
+            # Held across put() on purpose: the request queue is
             # unbounded, so put() is a non-blocking append; holding the
             # lifecycle lock over the sentinel is what makes stop()
             # idempotent against a concurrent start().
@@ -442,7 +442,7 @@ class SaccsRuntime:
             else:
                 with self._facade_lock:
                     if full:
-                        # repro: disable=lock-held-blocking — foreground
+                        # Held across the rebuild on purpose: foreground
                         # reindex is the *explicitly requested* stop-the-world
                         # path (admin asked for synchronous semantics); the
                         # non-stalling variant is background=True.
@@ -498,7 +498,7 @@ class SaccsRuntime:
             with self._facade_lock:
                 indexed_tags = list(self.saccs.index.tags)
             with obs.span("index.rebuild", background=True):
-                # repro: disable=lock-held-blocking — the reindex lock exists
+                # Held across the prepare on purpose: the reindex lock exists
                 # precisely to serialise whole rebuilds; the search path never
                 # takes it, so the long prepare stalls only other admins while
                 # the facade lock (which searches do take) stays free.

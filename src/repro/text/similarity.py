@@ -145,7 +145,7 @@ class ConceptualSimilarity:
 
     def _vectorise(self, opinion: OpinionWord) -> np.ndarray:
         """Topic block + signed polarity channel + identity block."""
-        vec = np.zeros(len(self._topics) + 1 + _IDENTITY_DIM)
+        vec = np.zeros(len(self._topics) + 1 + _IDENTITY_DIM, dtype=np.float64)
         for topic in opinion.topics:
             vec[self._topic_index[topic]] = 1.0 / np.sqrt(len(opinion.topics))
         vec[len(self._topics)] = _POLARITY_SCALE * opinion.polarity
@@ -243,7 +243,7 @@ class ConceptualSimilarity:
     def profile_features(self, profiles: Sequence[_TagProfile]) -> TagFeatures:
         """Stack per-tag profiles into the kernel's columnar arrays."""
         n = len(profiles)
-        units = np.zeros((n, self._dim))
+        units = np.zeros((n, self._dim), dtype=np.float64)
         for i, profile in enumerate(profiles):
             if profile.unit is not None:
                 units[i] = profile.unit
@@ -267,7 +267,7 @@ class ConceptualSimilarity:
         same gate formula is applied elementwise.
         """
         if len(features_a) == 0 or len(features_b) == 0:
-            return np.zeros((len(features_a), len(features_b)))
+            return np.zeros((len(features_a), len(features_b)), dtype=np.float64)
         # Opinion channel over unit embeddings.  OOV rows are zero vectors,
         # so unknown opinions yield cosine 0 for free.  Small blocks are
         # evaluated row-stationary (one gemv per query row): BLAS gemm picks

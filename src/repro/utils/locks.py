@@ -17,8 +17,7 @@ recorded when
   code paths disagree about the order of the same two locks — the classic
   ABBA deadlock shape), or
 * the acquired lock sits *earlier* than a currently-held lock in
-  :data:`CANONICAL_ORDER`, the statically derived hierarchy that
-  ``repro locks`` computes over ``src/``.
+  :data:`CANONICAL_ORDER`, the repo's lock hierarchy.
 
 Both checks run at acquisition time (the earliest moment the inversion is
 observable); the diagnostics name **both** acquisition sites so a failing
@@ -27,9 +26,10 @@ name (e.g. every per-session entry lock) form one order class; ordering
 *within* a class is deliberately not checked.
 
 This mirrors the lock-order witness in the FreeBSD kernel (``witness(4)``)
-and TSan's lock-inversion reporting: the static pass proves the hierarchy
-over the code it can see, the witness validates it on the executions the
-static pass cannot see (dynamic dispatch, callbacks, test-only paths).
+and TSan's lock-inversion reporting.  The witness is the repo's only
+deadlock guard: the tier-1 stress test drives searches, utterance turns,
+sessions, the collector and background reindexes with it enabled and fails
+on any inversion.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ __all__ = [
 
 ENV_FLAG = "REPRO_LOCK_WITNESS"
 
-#: The repo's lock hierarchy, outermost first — derived from the static
-#: lock-order graph (``repro locks``) and validated by the witness-enabled
-#: stress test.  Acquiring a lock listed *earlier* than one already held is
-#: an inversion even before a conflicting dynamic observation exists.
-#: Unlisted names are ordered only by dynamic observation.
+#: The repo's lock hierarchy, outermost first — maintained by hand and
+#: checked by the witness-enabled stress test, which also asserts that every
+#: ``make_lock``/``make_rlock`` name in ``src/`` is listed here.  Acquiring a
+#: lock listed *earlier* than one already held is an inversion even before a
+#: conflicting dynamic observation exists.
 CANONICAL_ORDER: Tuple[str, ...] = (
     "serve.sessions.store",
     "serve.sessions.entry",

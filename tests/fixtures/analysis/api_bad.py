@@ -1,11 +1,8 @@
-"""Seeded API-hygiene violations (fixture corpus — never imported)."""
+"""Seeded API-hygiene violation (fixture corpus — never imported)."""
 
 
-def risky(model, items=[]):
+def risky(model):
     model.eval()
-    try:
-        items.append(model.run())
-    except:
-        pass
+    result = model.run()
     model.train()
-    return items
+    return result

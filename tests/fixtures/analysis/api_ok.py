@@ -1,14 +1,9 @@
-"""Clean near-misses for the API-hygiene rules."""
+"""Clean near-miss for the API-hygiene rule: the restore sits in finally."""
 
 
-def safe(model, items=None):
-    if items is None:
-        items = []
+def safe(model):
     model.eval()
     try:
-        items.append(model.run())
-    except ValueError:
-        pass
+        return model.run()
     finally:
         model.train()
-    return items

@@ -1,21 +1,9 @@
 """Seeded determinism violations (fixture corpus — never imported)."""
 
-import random
-import time
-
 import numpy as np
 
 
 def rank(scores):
-    jitter = random.random()
-    noise = np.random.rand(3)
-    stamp = time.time()
     order = np.argsort(scores)
-    return order, jitter, noise, stamp
-
-
-def collect(tags):
-    out = []
-    for tag in set(tags):
-        out.append(tag)
-    return out + list(set(tags))
+    fast = scores.argsort(kind="quicksort")
+    return order, fast

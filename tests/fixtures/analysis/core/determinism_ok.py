@@ -1,18 +1,9 @@
-"""Clean near-misses for the determinism rules."""
-
-import random
+"""Clean near-misses for the determinism rule."""
 
 import numpy as np
 
 
-def rank(scores, rng: np.random.Generator, clock=None):
-    jitter = rng.random()
-    local = random.Random(7).random()
-    seeded = np.random.default_rng(11).normal(size=3)
-    stamp = clock() if clock is not None else 0.0
+def rank(scores):
     order = np.argsort(scores, kind="stable")
-    return order, jitter, local, seeded, stamp
-
-
-def collect(tags):
-    return [tag for tag in sorted(set(tags))]
+    merged = scores.argsort(kind="mergesort")
+    return order, merged

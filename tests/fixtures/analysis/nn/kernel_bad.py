@@ -3,9 +3,7 @@
 import numpy as np
 
 
-def scores(emissions):
-    buffer = np.empty((4, 4), dtype=np.float64)
-    weights = np.exp(emissions)
-    same = weights == emissions
+def scores(emissions, ids):
     table = np.zeros((2, 2))
-    return buffer, same, table
+    index = np.asarray(ids)
+    return table, emissions[index]

@@ -1,13 +1,10 @@
-"""Clean near-misses for the numpy-kernel rules."""
+"""Clean near-misses for the numpy-kernel rule."""
 
 import numpy as np
 
 
-def scores(emissions, mask):
-    buffer = np.empty((4, 4), dtype=np.float64)
-    buffer[:, :] = 0.0
-    weights = np.exp(emissions)
-    close = np.isclose(weights, emissions)
-    active = mask == 1
+def scores(emissions, ids):
     table = np.zeros((2, 2), dtype=np.float64)
-    return buffer, close, active, table
+    index = np.asarray(ids, dtype=np.intp)
+    weights = np.exp(emissions)  # not a constructor: dtype follows the input
+    return table, weights[index]

@@ -1,10 +1,12 @@
 """Suppression fixture: every violation here carries a disable comment."""
 
+import threading
 
-def quiet(items=[]):  # repro: disable=mutable-default — fixture: shared scratch
-    try:
-        items.append(1)
-    # repro: disable=bare-except — fixture: suppression-binding test
-    except:
-        pass
-    return items
+
+def spawn(work):
+    worker = threading.Thread(target=work)  # repro: disable=thread-no-daemon — fixture
+    # repro: disable=atomic-file-write — fixture: suppression-binding test,
+    # the justification may continue on following comment lines.
+    with open("scratch.txt", "w") as handle:
+        handle.write("x")
+    return worker

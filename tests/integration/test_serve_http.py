@@ -443,19 +443,28 @@ class TestTelemetryEndpoints:
     def _envelope(excinfo):
         return json.loads(excinfo.value.read())["error"]
 
-    def _wait_for_points(self, server, minimum=1, deadline=10.0):
+    def _wait_for_points(self, server, minimum=1, searches=0, deadline=10.0):
+        """Poll until there are ``minimum`` points and the newest counts at
+        least ``searches`` searches: the collector samples on its own clock,
+        so under load its newest point can still predate the fixture's posts."""
         import time
 
         end = time.monotonic() + deadline
         while time.monotonic() < end:
             payload = _get(f"{server.url}/debug/timeseries")
-            if len(payload["points"]) >= minimum:
+            points = payload["points"]
+            if len(points) >= minimum and (
+                points[-1]["counters"].get("requests.search", 0) >= searches
+            ):
                 return payload
             time.sleep(0.02)
-        raise AssertionError(f"collector produced < {minimum} points in {deadline}s")
+        raise AssertionError(
+            f"collector produced < {minimum} points counting {searches} searches"
+            f" in {deadline}s"
+        )
 
     def test_timeseries_points_carry_rates_and_slo_states(self, server):
-        payload = self._wait_for_points(server)
+        payload = self._wait_for_points(server, searches=3)
         assert payload["enabled"] is True
         assert payload["retention"] == 512
         point = payload["points"][-1]

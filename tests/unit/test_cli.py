@@ -31,8 +31,8 @@ class TestParser:
         args = build_parser().parse_args(["lint"])
         assert args.paths == ["src"]
         assert args.format == "human"
-        assert args.baseline == "analysis/baseline.json"
-        assert not args.update_baseline
+        assert args.root is None
+        assert not args.list_rules
 
     def test_lint_json_format(self):
         args = build_parser().parse_args(["lint", "src", "tests", "--format", "json"])

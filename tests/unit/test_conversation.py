@@ -1,8 +1,8 @@
 """Unit tests for ``repro.conversation``: the multi-turn understanding stage.
 
 Everything here runs without a neural extractor — the stage is pure
-lexicon + list manipulation, which is exactly the determinism promise the
-``conversation-determinism`` lint rule enforces.  Session-level behaviour
+lexicon + list manipulation, with no clock and no RNG, so the same
+transcript always yields the same decisions.  Session-level behaviour
 (extraction, ranking) is covered in ``tests/integration/test_session.py``.
 """
 

@@ -3,12 +3,15 @@
 Unit tests drive a private :class:`LockWitness` through ABBA inversions,
 canonical-rank violations and reentrant acquisitions, asserting the
 diagnostics name *both* acquisition sites.  The stress test at the bottom
-is the dynamic counterpart of the ``repro locks`` static pass: with
-``REPRO_LOCK_WITNESS=1`` it runs concurrent searches, background reindexes
-and session churn against the real serving runtime and fails on any
-observed order inversion.
+is the repo's deadlock guard: with ``REPRO_LOCK_WITNESS=1`` it runs
+concurrent tag and utterance searches, session turns, background reindexes,
+traces and collector samples against the real serving runtime, fails on any
+observed order inversion, and checks that the run reached every lock in
+:data:`CANONICAL_ORDER`.
 """
 
+import ast
+import os
 import threading
 
 import pytest
@@ -185,28 +188,97 @@ def test_factories_return_tracked_locks_when_enabled(monkeypatch):
         reset_witness()
 
 
-def test_canonical_order_matches_the_static_pass_lock_names():
-    # Every canonical name is unique; the witness ranks depend on it.
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+
+def _factory_calls():
+    """(path, line, first argument) of every make_lock/make_rlock call in src/."""
+    calls = []
+    for dirpath, _, filenames in os.walk(SRC):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("make_lock", "make_rlock")
+                ):
+                    first = node.args[0] if node.args else None
+                    calls.append((os.path.relpath(path, SRC), node.lineno, first))
+    return calls
+
+
+def test_every_lock_in_src_has_a_canonical_literal_name():
+    # The witness ranks locks by name, so every factory call must pass a
+    # string literal that CANONICAL_ORDER lists.
     assert len(set(CANONICAL_ORDER)) == len(CANONICAL_ORDER)
+    names = set()
+    for path, line, first in _factory_calls():
+        assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
+            f"{path}:{line}: lock name is not a string literal"
+        )
+        assert first.value in CANONICAL_ORDER, (
+            f"{path}:{line}: lock name {first.value!r} is not in CANONICAL_ORDER"
+        )
+        names.add(first.value)
+    assert names == set(CANONICAL_ORDER)
 
 
 # ------------------------------------------------------------- stress test
 
 
+#: Locks created when their module is imported, before the test can set
+#: the witness flag: they are plain locks the witness never sees.
+IMPORT_TIME_LOCKS = {"obs.log.emit", "obs.log.registry"}
+
+
+class _NamingWitness(LockWitness):
+    """A witness that also remembers every lock name it saw acquired.
+
+    The order graph only holds locks taken while another was held; a lock
+    that is always taken alone (the session store's) appears in no edge.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.names = set()
+
+    def note_acquire(self, name, site):
+        self.names.add(name)
+        super().note_acquire(name, site)
+
+
 def _build_runtime():
-    from repro.core.extractor import OracleExtractor
+    import numpy as np
+
+    from repro.bert import PretrainPlan, pretrained_encoder
+    from repro.core import HeuristicPairer, SequenceTagger, TagExtractor, TreePairingHeuristic
     from repro.core.saccs import Saccs, SaccsConfig
     from repro.core.tags import SubjectiveTag
     from repro.data import WorldConfig, build_world
+    from repro.obs.tracing import Tracer
     from repro.serve import SaccsRuntime
     from repro.serve.runtime import ServeConfig
-    from repro.text import ConceptualSimilarity, restaurant_lexicon
+    from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
     world = build_world(WorldConfig.small(seed=11, num_entities=14, mean_reviews=3.0))
+    # An untrained tagger over the quick encoder: the stress test needs the
+    # utterance and session paths to take their locks, not good tags.
+    encoder = pretrained_encoder("restaurants", plan=PretrainPlan.quick(seed=31))
+    tagger = SequenceTagger(encoder, np.random.default_rng(0))
+    tagger.eval()
+    parser = ChunkParser(PosLexicon(restaurant_lexicon()))
+    extractor = TagExtractor(
+        tagger, HeuristicPairer([TreePairingHeuristic(parser, direction="opinions")])
+    )
     saccs = Saccs(
         world.entities,
         world.reviews,
-        OracleExtractor(),
+        extractor,
         ConceptualSimilarity(restaurant_lexicon()),
         SaccsConfig(index_shards=2),
     )
@@ -218,8 +290,9 @@ def _build_runtime():
         max_wait_ms=0.0,
         cache_size=32,
         rebuild_pace_seconds=0.0,
+        collector_interval_seconds=0.01,
     )
-    return SaccsRuntime(saccs, config), dims
+    return SaccsRuntime(saccs, config, tracer=Tracer(sample_every=1)), dims
 
 
 def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
@@ -231,13 +304,20 @@ def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
     sites named.
     """
     from repro.serve.sessions import SessionStore
+    from repro.utils import locks
 
     monkeypatch.setenv(ENV_FLAG, "1")
-    w = reset_witness()
+    w = _NamingWitness()
+    monkeypatch.setattr(locks, "_WITNESS", w)
     try:
         runtime, dims = _build_runtime()
         store = SessionStore(factory=dict, ttl_seconds=0.005)
         query = [dims[0], dims[1 % len(dims)]]
+        utterances = [
+            "a place with delicious food",
+            "is the staff friendly there",
+            "something cheap in the center",
+        ]
         failures = []
         stop = threading.Event()
 
@@ -247,6 +327,11 @@ def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
                     with store.checkout(f"{session_prefix}-{turn % 5}") as session:
                         response = runtime.search(query)
                         session["last"] = response.generation
+                    utterance = utterances[turn % len(utterances)]
+                    if turn % 3 == 0:
+                        runtime.search_utterance(utterance, top_k=3)
+                    elif turn % 3 == 1:
+                        runtime.say(f"{session_prefix}-chat-{turn % 2}", utterance)
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 failures.append(exc)
 
@@ -276,9 +361,10 @@ def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
         assert inversions == [], "\n".join(i.describe() for i in inversions)
         # The run actually exercised tracked locks across all subsystems.
         assert w.acquisitions > 200
-        observed = {name for edge in w.order_graph() for name in edge}
-        assert "serve.sessions.entry" in observed
-        assert "serve.runtime.facade" in observed
+        unseen = set(CANONICAL_ORDER) - IMPORT_TIME_LOCKS - w.names
+        assert unseen == set(), sorted(unseen)
+        # A session turn holds its entry lock while it takes the facade.
+        assert ("serve.sessions.entry", "serve.runtime.facade") in w.order_graph()
     finally:
         monkeypatch.delenv(ENV_FLAG)
         reset_witness()
