@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8350)
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--max-batch-size", type=int, default=16)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
+    serve.add_argument("--max-wait-ms", type=float, default=0.0)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--session-ttl", type=float, default=1800.0)
     serve.add_argument(

@@ -30,7 +30,7 @@ from repro.conversation.salience import (
     SalienceEntry,
     SalienceStack,
 )
-from repro.conversation.stage import ConversationStage, TurnAnalysis
+from repro.conversation.stage import ConversationStage, ConversationTables, TurnAnalysis
 from repro.conversation.topic_shift import ShiftDecision, TopicShiftDetector
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "ROUTE_OBJECTIVE",
     "ROUTE_SUBJECTIVE",
     "ConversationStage",
+    "ConversationTables",
     "CorefBinding",
     "CoreferenceResolver",
     "ParsedUtterance",

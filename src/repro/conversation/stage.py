@@ -20,6 +20,13 @@ downstream extractor/ranker should actually see:
    that resolved a pronoun or expanded an ellipsis never shift — they
    reference the standing context by construction.
 
+The classifier, resolver, rewriter and shift detector are pure functions
+of the domain lexicon, so they live in :class:`ConversationTables`, built
+once and shared by every stage over that lexicon; a
+:class:`ConversationStage` owns only one session's mutable state (the
+salience stack, the context concepts, the turn counter and the last
+analysis).
+
 Each sub-stage runs under a ``conv.*`` observability span, and when a
 :class:`~repro.serve.metrics.MetricsRegistry` is attached the stage
 maintains ``conv.route.*`` distribution counters plus
@@ -51,7 +58,7 @@ from repro.conversation.topic_shift import TopicShiftDetector
 from repro.text.lexicon import DomainLexicon
 from repro.text.tokenize import detokenize
 
-__all__ = ["TurnAnalysis", "ConversationStage"]
+__all__ = ["TurnAnalysis", "ConversationStage", "ConversationTables"]
 
 
 @dataclass
@@ -81,20 +88,43 @@ class TurnAnalysis:
         return self.resolved_tokens != self.tokens
 
 
+class ConversationTables:
+    """The read-only half of a stage: everything built from the lexicon.
+
+    Holds no per-turn state, so one instance serves any number of
+    sessions (the serving runtime builds one and hands it to every new
+    session's :class:`ConversationStage`).
+    """
+
+    def __init__(self, lexicon: Optional[DomainLexicon] = None):
+        self.classifier = QueryClassifier(lexicon)
+        self.lexicon = self.classifier.lexicon
+        self.coref = CoreferenceResolver(self.lexicon)
+        self.rewriter = QueryRewriter(self.classifier)
+        self.shift_detector = TopicShiftDetector(self.lexicon)
+
+
 class ConversationStage:
-    """Deterministic per-session multi-turn query understanding."""
+    """Deterministic per-session multi-turn query understanding.
+
+    ``tables`` shares an existing :class:`ConversationTables` (``lexicon``
+    is then unused); without it the stage builds its own from ``lexicon``.
+    """
 
     def __init__(
         self,
         lexicon: Optional[DomainLexicon] = None,
         metrics: Optional[object] = None,
         salience_limit: int = 16,
+        tables: Optional[ConversationTables] = None,
     ):
-        self.classifier = QueryClassifier(lexicon)
-        self.lexicon = self.classifier.lexicon
-        self.coref = CoreferenceResolver(self.lexicon)
-        self.rewriter = QueryRewriter(self.classifier)
-        self.shift_detector = TopicShiftDetector(self.lexicon)
+        if tables is None:
+            tables = ConversationTables(lexicon)
+        self.classifier = tables.classifier
+        self.lexicon = tables.lexicon
+        self.coref = tables.coref
+        self.rewriter = tables.rewriter
+        self.shift_detector = tables.shift_detector
         self.salience = SalienceStack(limit=salience_limit)
         self.metrics = metrics
         #: the most recent :class:`TurnAnalysis` (debugging / bench access).

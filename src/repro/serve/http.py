@@ -120,8 +120,9 @@ def make_handler(runtime: SaccsRuntime):
     """Build a request-handler class bound to ``runtime``."""
 
     class Handler(BaseHTTPRequestHandler):
-        # Keep the default HTTP/1.1 keep-alive behaviour off balance-free:
-        # closed-loop load generators reuse connections when this is 1.1.
+        # HTTP/1.1 keeps connections alive between requests (the stdlib
+        # default, HTTP/1.0, closes after every response), so a client pays
+        # the TCP handshake once per connection, not once per turn.
         protocol_version = "HTTP/1.1"
 
         # ------------------------------------------------------------ plumbing
@@ -134,8 +135,23 @@ def make_handler(runtime: SaccsRuntime):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self._body_unread():
+                # The body's bytes still sit on the connection and would be
+                # parsed as the next request line: close it instead.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def _body_unread(self) -> bool:
+            """Whether the request declared a body this handler never read."""
+            if self._body_read:
+                return False
+            if "Transfer-Encoding" in self.headers:
+                return True
+            try:
+                return int(self.headers.get("Content-Length") or "0") != 0
+            except ValueError:
+                return True
 
         def _content_length(self) -> int:
             raw = self.headers.get("Content-Length") or "0"
@@ -145,8 +161,8 @@ def make_handler(runtime: SaccsRuntime):
                 length = -1
             if length < 0:
                 # The body's extent is unknown, so it can be neither read nor
-                # skipped: answer without touching it and drop the connection.
-                self.close_connection = True
+                # skipped: answer without touching it (and close, see
+                # _send_json).
                 raise ProtocolError(f"invalid Content-Length {raw!r}")
             return length
 
@@ -157,6 +173,7 @@ def make_handler(runtime: SaccsRuntime):
                     f"request body over {MAX_BODY_BYTES} bytes", status=413, code="too_large"
                 )
             raw = self.rfile.read(length) if length else b""
+            self._body_read = True
             if not raw:
                 raise ProtocolError("empty request body")
             try:
@@ -184,6 +201,7 @@ def make_handler(runtime: SaccsRuntime):
         # ------------------------------------------------------------- routes
 
         def do_GET(self):  # noqa: N802 - stdlib casing
+            self._body_read = False
             # Split path from query up front: routes match on the bare path
             # and read parameters from the parsed mapping, so "/debug/traces"
             # and "/debug/traces?limit=5" hit the same handler.
@@ -231,6 +249,7 @@ def make_handler(runtime: SaccsRuntime):
             return runtime.traces_snapshot(limit=limit, slow_only=slow_only)
 
         def do_POST(self):  # noqa: N802 - stdlib casing
+            self._body_read = False
             if self.path == "/search":
                 self._dispatch(self._handle_search)
                 return

@@ -5,10 +5,13 @@ turns it into a concurrent service.  The pipeline:
 
 1. ``search()`` checks the ranking cache (generation-stamped; a reindex
    invalidates deterministically) and otherwise enqueues the request.
-2. A **batcher** thread drains the queue into micro-batches — up to
-   ``max_batch_size`` requests, waiting at most ``max_wait_ms`` for
-   stragglers once the first request arrives (a batch size of 1 never
-   waits).
+2. A **batcher** thread drains the queue into micro-batches of up to
+   ``max_batch_size`` requests.  By default (``max_wait_ms=0``) it never
+   sleeps: a batch is the first request plus whatever else is already
+   queued, which under load is what arrived while the batcher could not
+   run, mostly while a worker held the facade lock.  A positive
+   ``max_wait_ms`` waits that long for stragglers, which a lone request
+   pays in full.
 3. **Worker** threads execute whole batches under the facade lock: the
    batch's distinct tag queries share one
    :meth:`~repro.core.saccs.Saccs.answer_many` call (duplicate concurrent
@@ -29,8 +32,9 @@ route — the integration tests assert this with concurrent clients.
 
 The facade lock serialises index access (the facade mutates shared state:
 user tag history, lazy matrices, vocabulary).  Micro-batching is what makes
-that serialisation cheap: N concurrent requests cost one lock round-trip,
-one scheduler wake-up and one index fold instead of N.
+that serialisation cheap: the N requests that queued behind one lock hold
+cost one lock round-trip, one scheduler wake-up and one index fold
+instead of N.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conversation.classify import ROUTE_COUNTERS, ROUTE_SUBJECTIVE
-from repro.conversation.stage import ConversationStage
+from repro.conversation.stage import ConversationStage, ConversationTables
 from repro.core.saccs import IndexingRound, Saccs
 from repro.core.session import ConversationSession
 from repro.core.extractor import TagExtractor
@@ -74,7 +78,9 @@ class ServeConfig:
     #: micro-batch ceiling; 1 disables batching (each request its own batch).
     max_batch_size: int = 16
     #: how long the batcher waits for stragglers after the first request.
-    max_wait_ms: float = 2.0
+    #: 0 never waits: batches form from what queued while a worker held
+    #: the facade lock, and a lone request is not delayed.
+    max_wait_ms: float = 0.0
     #: worker threads executing batches.
     workers: int = 2
     #: entries per cache level; 0 disables caching.
@@ -180,6 +186,9 @@ class SaccsRuntime:
         if self.tracer.enabled and self.tracer.metrics is None:
             self.tracer.bind_metrics(self.metrics)
         self.cache = ServingCache(self.config.cache_size, self.metrics)
+        #: lexicon-derived conversation tables, shared by every session so
+        #: a new session costs only its own salience and context state.
+        self._conversation_tables = ConversationTables(saccs.similarity.lexicon)
         self.sessions = SessionStore(
             factory=self._new_session,
             ttl_seconds=self.config.session_ttl_seconds,
@@ -393,7 +402,7 @@ class SaccsRuntime:
             # Sessions share the runtime's metrics registry so per-turn
             # routing and coref decisions land on /metrics as conv.* series.
             stage = ConversationStage(
-                lexicon=self.saccs.similarity.lexicon, metrics=self.metrics
+                tables=self._conversation_tables, metrics=self.metrics
             )
             return ConversationSession(
                 self.saccs, top_k=self.config.session_top_k, stage=stage

@@ -3,15 +3,14 @@
 Section 3.1 of the paper uses "conceptual similarity" — similarity that knows
 *pizza* is a kind of *food* — to match review tags against index tags.  The
 paper leaves its construction out of scope; we implement a concrete instance:
-an is-a taxonomy (a :mod:`networkx` arborescence rooted at ``entity``) with
+an is-a tree rooted at ``entity``, held as a child → parent map, with
 Wu–Palmer similarity ``2·depth(lca) / (depth(a) + depth(b))``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.text.lexicon import DomainLexicon
@@ -24,19 +23,29 @@ class ConceptTaxonomy:
 
     def __init__(self, lexicon: DomainLexicon):
         self.lexicon = lexicon
-        self.graph = nx.DiGraph()  # edges point parent -> child
+        #: concept → parent (``None`` for the root).  Insertion order is the
+        #: concept order: each aspect, then its parent if not yet seen.
+        self._parent: Dict[str, Optional[str]] = {}
         for concept in lexicon.aspects.values():
-            self.graph.add_node(concept.name)
+            self._parent.setdefault(concept.name, None)
             if concept.parent is not None:
-                self.graph.add_edge(concept.parent, concept.name)
-        roots = [n for n in self.graph.nodes if self.graph.in_degree(n) == 0]
+                self._parent.setdefault(concept.parent, None)
+                self._parent[concept.name] = concept.parent
+        roots = [name for name, parent in self._parent.items() if parent is None]
         if len(roots) != 1:
             raise ValueError(f"taxonomy must have exactly one root, found {roots}")
         self.root = roots[0]
-        self._depth: Dict[str, int] = nx.shortest_path_length(self.graph, self.root)
+        self._depth: Dict[str, int] = {}
+        for name in self._parent:
+            chain = [name]
+            while chain[-1] != self.root:
+                if len(chain) > len(self._parent):
+                    raise ValueError(f"taxonomy has a cycle above {name!r}")
+                chain.append(self._parent[chain[-1]])
+            self._depth[name] = len(chain) - 1
         self._surface_index = lexicon.aspect_surface_index()
         #: stable concept ordering for the vectorized kernel's pair table.
-        self._concepts: List[str] = list(self.graph.nodes)
+        self._concepts: List[str] = list(self._parent)
         self._concept_index: Dict[str, int] = {c: i for i, c in enumerate(self._concepts)}
         self._pair_table: Optional[np.ndarray] = None
         self._pair_table_padded: Optional[np.ndarray] = None
@@ -55,8 +64,7 @@ class ConceptTaxonomy:
         """Path from ``concept`` up to the root, inclusive."""
         path = [concept]
         while path[-1] != self.root:
-            parents = list(self.graph.predecessors(path[-1]))
-            path.append(parents[0])
+            path.append(self._parent[path[-1]])
         return path
 
     def lowest_common_ancestor(self, a: str, b: str) -> str:
@@ -106,7 +114,7 @@ class ConceptTaxonomy:
 
     def wu_palmer(self, a: str, b: str) -> float:
         """Wu–Palmer similarity between two concepts, in (0, 1]."""
-        if a not in self.graph or b not in self.graph:
+        if a not in self._parent or b not in self._parent:
             raise KeyError(f"unknown concepts: {a!r}, {b!r}")
         lca = self.lowest_common_ancestor(a, b)
         denom = self.depth(a) + self.depth(b)

@@ -30,8 +30,10 @@ from repro.core import (
     TreePairingHeuristic,
 )
 from repro.bert import PretrainPlan, pretrained_encoder
+from repro.conversation import KIND_ASPECT
 from repro.data import WorldConfig, build_tagging_dataset, build_world
 from repro.serve import SaccsHttpServer, SaccsRuntime, ServeConfig
+from repro.serve.http import MAX_BODY_BYTES
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
 
@@ -71,6 +73,34 @@ def _raw_search(server, content_length: str) -> tuple:
         while len(body) < length:
             body += sock.recv(4096)
     return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def _read_responses(sock) -> list:
+    """Every response on ``sock`` until the server closes it (or goes quiet).
+
+    Returns ``(status, headers, body)`` triples, header names lower-cased.
+    """
+    data = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except (ConnectionResetError, socket.timeout):
+            break
+        if not chunk:
+            break
+        data += chunk
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower().decode()] = value.strip().decode()
+        length = int(headers.get("content-length", "0"))
+        responses.append((int(lines[0].split(b" ", 2)[1]), headers, rest[:length]))
+        data = rest[length:]
+    return responses
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +293,43 @@ class TestHttpSurface:
             _get(f"{server.url}/nope")
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize(
+        "path, body, status, code",
+        [
+            ("/nope", b'{"tags": ["delicious food"]}', 404, "not_found"),
+            ("/search", b"x" * (MAX_BODY_BYTES + 1), 413, "too_large"),
+        ],
+        ids=["unknown-route", "oversized-body"],
+    )
+    def test_unread_body_closes_instead_of_desyncing(
+        self, server, path, body, status, code
+    ):
+        """A response that leaves the body unread must end the connection:
+        kept alive, the body's bytes would be parsed as the next request
+        line and the pipelined request behind it answered with an HTML 400
+        or 414 page."""
+        search = json.dumps({"tags": ["delicious food"]}).encode("utf-8")
+        pipelined = (
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            + body
+            + b"POST /search HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {len(search)}\r\n\r\n".encode("ascii")
+            + search
+        )
+        with socket.create_connection((server.host, server.port), timeout=2.0) as sock:
+            try:
+                sock.sendall(pipelined)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server may close before reading all of it
+            responses = _read_responses(sock)
+        assert [response[0] for response in responses] == [status]
+        _, headers, payload = responses[0]
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"]["code"] == code
+        # A new connection is served normally.
+        assert _post(f"{server.url}/search", {"tags": ["delicious food"]})["results"]
+
     def test_sessions_unavailable_with_oracle_extractor(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{server.url}/session/s1/say", {"utterance": "delicious food please"})
@@ -324,6 +391,22 @@ class TestSessionsOverHttp:
             fresh = _post(f"{server.url}/session/b/say", {"utterance": "start over"})
             assert fresh["added_tags"] == []
             assert len(runtime.sessions) == 2
+
+    def test_sessions_share_conversation_tables_but_not_state(self, neural_saccs):
+        runtime = SaccsRuntime(neural_saccs, ServeConfig(cache_size=64))
+        with runtime:
+            runtime.say("a", self.UTTERANCES[0])
+            runtime.say("b", "hello there")
+            with runtime.sessions.checkout("a") as first, runtime.sessions.checkout("b") as second:
+                one, two = first.stage, second.stage
+        for name in ("classifier", "coref", "rewriter", "shift_detector", "lexicon"):
+            assert getattr(one, name) is getattr(two, name), name
+        assert one.salience is not two.salience
+        assert one.salience.most_recent(KIND_ASPECT) is not None
+        assert two.salience.most_recent(KIND_ASPECT) is None
+        assert one.context_concepts() and not two.context_concepts()
+        assert one.last_analysis.utterance == self.UTTERANCES[0]
+        assert two.last_analysis.utterance == "hello there"
 
     def test_say_payload_exposes_route_and_resolution(self, neural_saccs):
         runtime = SaccsRuntime(neural_saccs, ServeConfig(cache_size=64))

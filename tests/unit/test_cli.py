@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import ServeConfig
 
 
 class TestParser:
@@ -25,6 +26,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8350
         assert args.max_batch_size == 16
+        assert args.max_wait_ms == ServeConfig().max_wait_ms == 0.0
         assert args.world is None
 
     def test_lint_defaults(self):

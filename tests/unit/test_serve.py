@@ -1,6 +1,8 @@
 """Unit tests for the serving subsystem (metrics, caches, sessions, protocol)."""
 
+import queue
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -419,6 +421,9 @@ class _StubSaccs:
 
     def __init__(self):
         self.extraction_engine = _StubExtractionEngine()
+        # The runtime builds its shared conversation tables from this
+        # lexicon; None means the default (restaurant) lexicon.
+        self.similarity = SimpleNamespace(lexicon=None)
         self.index_generation = 0
         self.index = {}
         self.entities = []
@@ -707,6 +712,35 @@ class TestRuntimeTracing:
             runtime.trace_payload("t999999")
         assert excinfo.value.code == "trace_not_found"
         assert excinfo.value.status == 404
+
+
+class _RecordingQueue(queue.Queue):
+    """A request queue that records every timed blocking ``get``."""
+
+    def __init__(self):
+        super().__init__()
+        self.timeouts = []
+
+    def get(self, block=True, timeout=None):
+        if block and timeout is not None:
+            self.timeouts.append(timeout)
+        return super().get(block, timeout)
+
+
+class TestBatcher:
+    def test_default_batcher_never_waits_for_stragglers(self):
+        """A lone request is batched alone at once: the default batcher
+        drains what is queued and never blocks on a straggler timeout."""
+        from repro.core.tags import SubjectiveTag
+        from repro.serve import SaccsRuntime
+
+        runtime = SaccsRuntime(_AnswerableStubSaccs())
+        runtime._queue = recording = _RecordingQueue()
+        with runtime:
+            for text in ("delicious food", "friendly staff", "cheap price"):
+                response = runtime.search([SubjectiveTag.from_text(text)])
+                assert response.batch_size == 1
+        assert recording.timeouts == []
 
 
 class TestBackgroundReindex:

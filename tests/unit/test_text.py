@@ -1,5 +1,10 @@
 """Unit tests for lexicons, taxonomy, similarity, POS, parser and labels."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from repro.text import (
     ChunkParser,
     ConceptTaxonomy,
     ConceptualSimilarity,
+    DomainLexicon,
     PosLexicon,
     TagVocabulary,
     electronics_lexicon,
@@ -104,6 +110,58 @@ class TestTaxonomy:
     def test_identical_surfaces_max(self):
         tax = ConceptTaxonomy(restaurant_lexicon())
         assert tax.surface_similarity("pizza", "pizzas") == 1.0
+
+    @pytest.mark.parametrize("domain", ["restaurants", "electronics", "hotels"])
+    def test_concept_order_and_depths_follow_the_parent_chains(self, domain):
+        lexicon = lexicon_for_domain(domain)
+        tax = ConceptTaxonomy(lexicon)
+        # Each aspect in lexicon order, then its parent if not seen yet:
+        # the row order of the similarity kernel's pair table.
+        order = []
+        for concept in lexicon.aspects.values():
+            for name in (concept.name, concept.parent):
+                if name is not None and name not in order:
+                    order.append(name)
+        assert tax.concepts == order
+        parent = {name: concept.parent for name, concept in lexicon.aspects.items()}
+        for name in order:
+            steps, current = 0, name
+            while parent.get(current) is not None:
+                current, steps = parent[current], steps + 1
+            assert current == tax.root
+            assert tax.depth(name) == steps
+            assert tax.ancestors_with_self(name)[-1] == tax.root
+            assert len(tax.ancestors_with_self(name)) == steps + 1
+
+    def test_cyclic_or_rootless_taxonomies_are_rejected(self):
+        cyclic = DomainLexicon("cyclic")
+        cyclic.add_aspect("entity", ["place"])
+        cyclic.add_aspect("food", ["food"], parent="dish")
+        cyclic.add_aspect("dish", ["dish"], parent="food")
+        with pytest.raises(ValueError, match="cycle"):
+            ConceptTaxonomy(cyclic)
+        two_roots = DomainLexicon("two-roots")
+        two_roots.add_aspect("entity", ["place"])
+        two_roots.add_aspect("food", ["food"])
+        with pytest.raises(ValueError, match="exactly one root"):
+            ConceptTaxonomy(two_roots)
+
+    def test_importing_the_server_loads_neither_networkx_nor_scipy(self):
+        import repro
+
+        paths = [str(Path(repro.__file__).resolve().parents[1])]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        code = (
+            "import sys, repro.serve\n"
+            "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestConceptualSimilarity:
