@@ -91,15 +91,6 @@ class SaccsConfig:
     backfill: bool = True
     review_count_mode: str = "matched"
     theta_mode: str = "static"
-    #: index similarity backend: ``"vectorized"`` (matrix kernel, default)
-    #: or ``"scalar"`` (per-pair reference oracle, kept for equivalence
-    #: testing and ablation benchmarks).
-    backend: str = "vectorized"
-    #: extraction pass: ``"bucketed"`` (corpus-wide length buckets through
-    #: the :class:`~repro.core.extraction_engine.ExtractionEngine`, default)
-    #: or ``"sequential"`` (one extractor call per review — the reference
-    #: oracle the engine is tested against).
-    extraction_mode: str = "bucketed"
     #: sentences per extraction length bucket (one encoder forward each).
     extraction_batch_sentences: int = 64
     #: cache extracted tags per review content hash, making
@@ -118,12 +109,8 @@ class SaccsConfig:
     index_lookup_workers: int = 0
 
     def __post_init__(self):
-        if self.extraction_mode not in ("bucketed", "sequential"):
-            raise ValueError("extraction_mode must be 'bucketed' or 'sequential'")
         if self.index_shards < 1:
             raise ValueError("index_shards must be >= 1")
-        if self.index_shards > 1 and self.backend != "vectorized":
-            raise ValueError("index_shards > 1 requires the vectorized backend")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -195,17 +182,16 @@ class Saccs:
             theta_index=self.config.theta_index,
             review_count_mode=self.config.review_count_mode,
             theta_mode=self.config.theta_mode,
-            backend=self.config.backend,
         )
 
     def ingest_reviews(self) -> None:
         """Extract subjective tags from every review (the extractor pass).
 
-        With ``extraction_mode="bucketed"`` (default) the whole corpus goes
-        through the :class:`ExtractionEngine` — sentences from all entities
-        flattened, length-bucketed, batch-tagged and paired, with per-review
-        results cached by content hash.  ``"sequential"`` keeps the original
-        one-review-at-a-time loop as the equivalence oracle.
+        The whole corpus goes through the :class:`ExtractionEngine` —
+        sentences from all entities flattened, length-bucketed, batch-tagged
+        and paired, with per-review results cached by content hash.  Its
+        output equals one ``extractor.extract_review`` call per review (the
+        oracle the extraction tests build their reference index from).
         """
         self._register_corpus(self.index)
         self._ingested = True
@@ -228,13 +214,7 @@ class Saccs:
             if self.review_filter is not None:
                 reviews = self.review_filter.filter_reviews(reviews)
             entity_reviews.append((entity.entity_id, reviews))
-        if self.config.extraction_mode == "sequential":
-            extracted = [
-                (entity_id, [self.extractor.extract_review(review) for review in reviews])
-                for entity_id, reviews in entity_reviews
-            ]
-        else:
-            extracted = self.extraction_engine.extract_corpus(entity_reviews)
+        extracted = self.extraction_engine.extract_corpus(entity_reviews)
         if pace is not None:
             pace()
         with self.extraction_engine.timings.span("register"):

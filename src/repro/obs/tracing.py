@@ -12,14 +12,14 @@ span trees.  Design constraints, in order:
   No wallclock, no global RNG — the clock is injectable and defaults to the
   monotonic ``time.perf_counter`` (timestamps are durations-only data; ids
   and ordering never depend on it).
-* **Batch fan-out.**  The micro-batcher folds many requests into one worker
-  pass, so "the current span" is really a *group*: the context variable
+* **Batch fan-out.**  A serving worker folds many queued requests into one
+  batch, so "the current span" is really a *group*: the context variable
   holds a tuple of :class:`ActiveSpan` members, one per traced request in
   the batch.  :func:`span` measures the work once and records a child into
   every member trace with that member's parent id.  A single request is the
   one-member special case.
-* **Thread hand-offs are explicit.**  The batcher hand-off uses
-  :func:`scope` (the worker re-activates the group from the queued
+* **Thread hand-offs are explicit.**  The request queue → worker hand-off
+  uses :func:`scope` (the worker re-activates the group from the queued
   requests' captured roots); executor fan-out must use
   ``contextvars.copy_context()`` — one copy per submitted task, made in the
   submitting thread.
@@ -278,7 +278,7 @@ class Tracer:
         return _TraceHandle(self, name, attributes)
 
     def begin(self, name: str, **attributes: Any) -> ActiveSpan:
-        """Manual root creation (no contextvar) — the batcher hand-off seam."""
+        """Manual root creation (no contextvar) — the queue hand-off seam."""
         with self._lock:
             self._trace_counter += 1
             trace_id = f"t{self._trace_counter:06d}"
@@ -381,7 +381,7 @@ class _GroupSpan:
 
 
 class _Scope:
-    """Re-activate a span group in another thread (batcher → worker)."""
+    """Re-activate a span group in another thread (request queue → worker)."""
 
     __slots__ = ("members", "_token")
 

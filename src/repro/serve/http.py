@@ -20,7 +20,8 @@ Stdlib only (:mod:`http.server`).  Endpoints:
 Every response is JSON; errors use the uniform envelope from
 :func:`repro.serve.protocol.error_payload`.  The server is a
 ``ThreadingHTTPServer`` — each connection gets a thread, and concurrency
-control lives in the runtime (micro-batcher + per-session locks), not here.
+control lives in the runtime (request queue + worker pool, per-session
+locks), not here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -130,17 +132,31 @@ def make_handler(runtime: SaccsRuntime):
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass  # request logging goes through metrics, not stderr
 
-        def _send_json(self, status: int, payload) -> None:
+        def _send_json(self, status: int, payload, close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if self._body_unread():
-                # The body's bytes still sit on the connection and would be
-                # parsed as the next request line: close it instead.
+            if close or self._body_unread():
+                # Unread request bytes still sit on the connection and would
+                # be parsed as the next request line: close it instead.
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def send_error(self, code, message=None, explain=None):
+            """The stdlib's own rejections (unsupported method, malformed or
+            oversized request line or headers), as the JSON envelope.
+
+            They happen before any route runs, so the request's framing is
+            unknown: the connection is closed, as the stdlib page does."""
+            runtime.metrics.incr("errors.client")
+            status = HTTPStatus(code)
+            self._send_json(
+                status,
+                error_payload(status.name.lower(), message or status.phrase),
+                close=True,
+            )
 
         def _body_unread(self) -> bool:
             """Whether the request declared a body this handler never read."""

@@ -1,19 +1,18 @@
-"""The serving runtime: queue → micro-batcher → worker pool → cache → facade.
+"""The serving runtime: request queue → worker pool → cache → facade.
 
 :class:`SaccsRuntime` owns one :class:`~repro.core.saccs.Saccs` facade and
-turns it into a concurrent service.  The pipeline:
+turns it into a concurrent service.  The pipeline has two stages:
 
 1. ``search()`` checks the ranking cache (generation-stamped; a reindex
    invalidates deterministically) and otherwise enqueues the request.
-2. A **batcher** thread drains the queue into micro-batches of up to
+2. **Worker** threads drain the queue.  A free worker takes the oldest
+   request and tops the batch up from the queue, up to
    ``max_batch_size`` requests.  By default (``max_wait_ms=0``) it never
    sleeps: a batch is the first request plus whatever else is already
-   queued, which under load is what arrived while the batcher could not
-   run, mostly while a worker held the facade lock.  A positive
-   ``max_wait_ms`` waits that long for stragglers, which a lone request
-   pays in full.
-3. **Worker** threads execute whole batches under the facade lock: the
-   batch's distinct tag queries share one
+   queued, which under load is what arrived while every worker was busy.
+   A positive ``max_wait_ms`` waits that long for stragglers, which a
+   lone request pays in full.  The worker then executes the batch under
+   the facade lock: the batch's distinct tag queries share one
    :meth:`~repro.core.saccs.Saccs.answer_many` call (duplicate concurrent
    queries are computed once), per-request results are sliced, cached and
    resolved.
@@ -32,9 +31,8 @@ route — the integration tests assert this with concurrent clients.
 
 The facade lock serialises index access (the facade mutates shared state:
 user tag history, lazy matrices, vocabulary).  Micro-batching is what makes
-that serialisation cheap: the N requests that queued behind one lock hold
-cost one lock round-trip, one scheduler wake-up and one index fold
-instead of N.
+that serialisation cheap: the N requests that queued behind busy workers
+cost one lock round-trip and one index fold instead of N.
 """
 
 from __future__ import annotations
@@ -75,13 +73,15 @@ _LOG = get_logger("repro.serve.runtime")
 class ServeConfig:
     """Knobs for the serving pipeline."""
 
-    #: micro-batch ceiling; 1 disables batching (each request its own batch).
+    #: most requests a worker takes from the queue into one batch; 1
+    #: disables batching (each request its own batch).
     max_batch_size: int = 16
-    #: how long the batcher waits for stragglers after the first request.
-    #: 0 never waits: batches form from what queued while a worker held
-    #: the facade lock, and a lone request is not delayed.
+    #: how long a worker waits for stragglers after taking the first
+    #: request.  0 never waits: a batch holds what queued while every
+    #: worker was busy, and a lone request is not delayed.
     max_wait_ms: float = 0.0
-    #: worker threads executing batches.
+    #: worker threads; each drains the request queue and executes its
+    #: batches, so ``start()`` spawns exactly this many.
     workers: int = 2
     #: entries per cache level; 0 disables caching.
     cache_size: int = 4096
@@ -145,7 +145,7 @@ class _Pending:
         self.api_entity_ids = api_entity_ids
         self.utterance = utterance
         self.tokens = tokens
-        #: root span of the requesting trace; carried across the batcher
+        #: root span of the requesting trace; carried across the queue
         #: hand-off so the worker can attribute its stages to this request.
         self.ctx: Optional[obs.ActiveSpan] = None
         self.enqueued_at = 0.0
@@ -211,7 +211,6 @@ class SaccsRuntime:
         # this runtime's /metrics (extract.cache.{hit,miss} → ratio rollup).
         saccs.extraction_engine.bind_metrics(self.metrics)
         self._queue: "queue.Queue" = queue.Queue()
-        self._batches: "queue.Queue" = queue.Queue()
         self._threads: List[threading.Thread] = []
         self._running = False
         # Continuous telemetry: the SLO monitor exists regardless (its specs
@@ -235,18 +234,14 @@ class SaccsRuntime:
             if self._running:
                 return self
             self._running = True
-            batcher = threading.Thread(
-                target=self._batcher_loop, name="saccs-batcher", daemon=True
-            )
-            self._threads = [batcher]
-            for worker_id in range(self.config.workers):
-                self._threads.append(
-                    threading.Thread(
-                        target=self._worker_loop,
-                        name=f"saccs-worker-{worker_id}",
-                        daemon=True,
-                    )
+            self._threads = [
+                threading.Thread(
+                    target=self._worker_loop,
+                    name=f"saccs-worker-{worker_id}",
+                    daemon=True,
                 )
+                for worker_id in range(self.config.workers)
+            ]
             for thread in self._threads:
                 thread.start()
             if self.collector is not None:
@@ -266,9 +261,11 @@ class SaccsRuntime:
             self._running = False
             # Held across put() on purpose: the request queue is
             # unbounded, so put() is a non-blocking append; holding the
-            # lifecycle lock over the sentinel is what makes stop()
-            # idempotent against a concurrent start().
-            self._queue.put(_STOP)
+            # lifecycle lock over the sentinels is what makes stop()
+            # idempotent against a concurrent start().  One per worker:
+            # each worker exits on the sentinel it takes first.
+            for _ in self._threads:
+                self._queue.put(_STOP)
             threads, self._threads = self._threads, []
         # Join outside the lock: a wedged worker must not block a concurrent
         # start/stop caller for the full drain timeout.
@@ -320,7 +317,7 @@ class SaccsRuntime:
                 return self._enqueue_and_wait(pending)
 
     def _enqueue_and_wait(self, pending: _Pending) -> SearchResponse:
-        """Queue one request for the batcher and block on its resolution."""
+        """Queue one request for the workers and block on its resolution."""
         active = obs.current_span()
         if active is not None:
             pending.ctx = active
@@ -653,43 +650,10 @@ class SaccsRuntime:
 
     # -------------------------------------------------------------- scheduler
 
-    def _batcher_loop(self) -> None:
-        """Drain the request queue into micro-batches."""
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                for _ in range(self.config.workers):
-                    self._batches.put(_STOP)
-                return
-            batch = [item]
-            if self.config.max_batch_size > 1:
-                deadline = None
-                while len(batch) < self.config.max_batch_size:
-                    try:
-                        if deadline is None:
-                            # First top-up attempt: take whatever is already
-                            # queued without blocking, then start the clock.
-                            extra = self._queue.get_nowait()
-                        else:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                break
-                            extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        if deadline is None and self.config.max_wait_ms > 0:
-                            deadline = time.monotonic() + self.config.max_wait_ms / 1000.0
-                            continue
-                        break
-                    if extra is _STOP:
-                        self._queue.put(_STOP)
-                        break
-                    batch.append(extra)
-            self._batches.put(batch)
-
     def _worker_loop(self) -> None:
         while True:
-            batch = self._batches.get()
-            if batch is _STOP:
+            batch = self._next_batch()
+            if batch is None:
                 return
             try:
                 self._execute_batch(batch)
@@ -698,6 +662,37 @@ class SaccsRuntime:
                 for pending in batch:
                     if not pending.event.is_set():
                         pending.reject(exc)
+
+    def _next_batch(self) -> Optional[List[_Pending]]:
+        """The oldest queued request plus what can top it up; None on stop."""
+        item = self._queue.get()
+        if item is _STOP:
+            return None
+        batch = [item]
+        deadline = None
+        while len(batch) < self.config.max_batch_size:
+            try:
+                if deadline is None:
+                    # First top-up attempt: take whatever is already
+                    # queued without blocking, then start the clock.
+                    extra = self._queue.get_nowait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    extra = self._queue.get(timeout=remaining)
+            except queue.Empty:
+                if deadline is None and self.config.max_wait_ms > 0:
+                    deadline = time.monotonic() + self.config.max_wait_ms / 1000.0
+                    continue
+                break
+            if extra is _STOP:
+                # Another worker's sentinel: put it back so each worker
+                # still takes exactly one, and none is left for a restart.
+                self._queue.put(_STOP)
+                break
+            batch.append(extra)
+        return batch
 
     def _execute_batch(self, batch: List[_Pending]) -> None:
         """Run one micro-batch under the facade lock.

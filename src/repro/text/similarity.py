@@ -275,7 +275,7 @@ class ConceptualSimilarity:
         # on different low bits depending on how many rows ride along in the
         # block.  Row-stationary evaluation makes every row's scores bitwise
         # independent of its batch — the guarantee `repro.serve`'s
-        # micro-batcher relies on to stay byte-identical with the sequential
+        # micro-batches rely on to stay byte-identical with the sequential
         # oracle.  Large blocks (index builds) keep the stacked matmul.
         if len(features_a) <= _ROW_STATIONARY_MAX_ROWS:
             bt = features_b.units.T

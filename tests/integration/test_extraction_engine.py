@@ -20,6 +20,7 @@ from repro.core import (
     SaccsConfig,
     SequenceTagger,
     SubjectiveTag,
+    SubjectiveTagIndex,
     TagExtractor,
     TaggerTrainer,
     TaggerTrainingConfig,
@@ -70,19 +71,25 @@ class TestEngineEquivalence:
     def test_saccs_bucketed_index_is_bit_identical(self, world, extractor):
         similarity = ConceptualSimilarity(restaurant_lexicon())
         tags = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
-        sequential = Saccs(
-            world.entities, world.reviews, extractor, similarity,
-            SaccsConfig(extraction_mode="sequential"),
-        )
-        sequential.build_index(tags)
+        # The oracle: one extractor call per review, registered in order.
+        sequential = SubjectiveTagIndex(similarity)
+        for entity in world.entities:
+            sequential.register_entity(
+                entity.entity_id,
+                [
+                    extractor.extract_review(review)
+                    for review in world.reviews.get(entity.entity_id, [])
+                ],
+            )
+        sequential.build(tags)
         bucketed = Saccs(
             world.entities, world.reviews, extractor, similarity,
             SaccsConfig(extraction_batch_sentences=16),
         )
         bucketed.build_index(tags)
-        assert bucketed.index._entity_tags == sequential.index._entity_tags
+        assert bucketed.index._entity_tags == sequential._entity_tags
         for tag in tags:
-            assert bucketed.index.lookup(tag) == sequential.index.lookup(tag)
+            assert bucketed.index.lookup(tag) == sequential.lookup(tag)
 
     def test_utterance_batch_matches_single_extract(self, extractor):
         engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=3))

@@ -330,6 +330,32 @@ class TestHttpSurface:
         # A new connection is served normally.
         assert _post(f"{server.url}/search", {"tags": ["delicious food"]})["results"]
 
+    @pytest.mark.parametrize(
+        "request_line, status, code",
+        [
+            (b"PUT /search HTTP/1.1", 501, "not_implemented"),
+            (b"GET /" + b"x" * 70_000 + b" HTTP/1.1", 414, "request_uri_too_long"),
+        ],
+        ids=["unsupported-method", "oversized-request-line"],
+    )
+    def test_stdlib_rejections_use_the_json_envelope(
+        self, server, request_line, status, code
+    ):
+        """Requests the stdlib rejects before any route runs still get the
+        JSON envelope, not its HTML error page, and the connection ends."""
+        with socket.create_connection((server.host, server.port), timeout=2.0) as sock:
+            try:
+                sock.sendall(request_line + b"\r\nHost: test\r\n\r\n")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server may close before reading all of it
+            responses = _read_responses(sock)
+        assert [response[0] for response in responses] == [status]
+        _, headers, payload = responses[0]
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"]["code"] == code
+        assert _get(f"{server.url}/healthz")["status"] == "ok"
+
     def test_sessions_unavailable_with_oracle_extractor(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{server.url}/session/s1/say", {"utterance": "delicious food please"})

@@ -8,7 +8,7 @@ exact ``lookup``, Algorithm-1 ``lookup_similar``, and the full
 
 import pytest
 
-from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
+from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, SubjectiveTagIndex
 from repro.data import WorldConfig, build_world
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -18,16 +18,31 @@ def world():
     return build_world(WorldConfig.small(seed=7, num_entities=25, mean_reviews=8.0))
 
 
+class _ScalarSaccs(Saccs):
+    """The facade over the scalar reference index (the oracle)."""
+
+    def _make_index(self):
+        return SubjectiveTagIndex(
+            self.similarity,
+            theta_index=self.config.theta_index,
+            review_count_mode=self.config.review_count_mode,
+            theta_mode=self.config.theta_mode,
+            backend="scalar",
+        )
+
+
 def _build_saccs(world, backend, **config_kwargs):
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    saccs = Saccs(
+    facade = {"vectorized": Saccs, "scalar": _ScalarSaccs}[backend]
+    saccs = facade(
         world.entities,
         world.reviews,
         OracleExtractor(),
         similarity,
-        SaccsConfig(backend=backend, **config_kwargs),
+        SaccsConfig(**config_kwargs),
     )
     saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
+    assert saccs.index.backend == backend
     return saccs
 
 

@@ -2,6 +2,7 @@
 
 import queue
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -433,7 +434,7 @@ def _scheduler_threads():
     return [
         thread
         for thread in threading.enumerate()
-        if thread.name.startswith(("saccs-batcher", "saccs-worker"))
+        if thread.name.startswith("saccs-worker")
     ]
 
 
@@ -463,9 +464,9 @@ class TestRuntimeLifecycle:
         for thread in racers:
             thread.join(timeout=5.0)
         try:
-            # One batcher + `workers` workers, regardless of racing callers.
-            assert len(runtime._threads) == 3
-            assert len(_scheduler_threads()) - before == 3
+            # `workers` workers, regardless of racing callers.
+            assert len(runtime._threads) == 2
+            assert len(_scheduler_threads()) - before == 2
         finally:
             runtime.stop()
 
@@ -489,16 +490,24 @@ class TestRuntimeLifecycle:
         assert len(_scheduler_threads()) == before
 
     def test_restart_after_stop(self):
+        from repro.core.tags import SubjectiveTag
         from repro.serve import SaccsRuntime
 
-        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(workers=1))
+        runtime = SaccsRuntime(
+            _AnswerableStubSaccs(),
+            ServeConfig(workers=1, request_timeout_seconds=5.0),
+        )
         runtime.start()
         runtime.stop()
         runtime.start()
         try:
             assert runtime.health()["status"] == "ok"
-            assert len(runtime._threads) == 2
+            assert len(runtime._threads) == 1
             assert all(thread.is_alive() for thread in runtime._threads)
+            # A stop sentinel left in the queue would end the new worker
+            # and time this search out.
+            response = runtime.search([SubjectiveTag.from_text("delicious food")])
+            assert response.batch_size == 1
         finally:
             runtime.stop()
         assert runtime.health()["status"] == "stopped"
@@ -596,8 +605,8 @@ class _AnswerableStubSaccs(_StubSaccs):
 
     ``answer_many`` is the real facade method; the stubbed
     ``_tag_sets_many`` returns no subjective signal, so ``filter_and_rank``
-    keeps the API order — enough to drive the full queue → batcher → worker
-    → resolve pipeline (and its tracing) without the neural stack.
+    keeps the API order — enough to drive the full queue → worker → resolve
+    pipeline (and its tracing) without the neural stack.
     """
 
     answer_many = Saccs.answer_many
@@ -727,9 +736,59 @@ class _RecordingQueue(queue.Queue):
         return super().get(block, timeout)
 
 
+class _BlockingStubSaccs(_AnswerableStubSaccs):
+    """Its first ``answer_many`` blocks until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def answer_many(self, tag_lists, api_entity_ids=None, rank=None):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(10.0)
+        return Saccs.answer_many(self, tag_lists, api_entity_ids, rank)
+
+
 class TestBatcher:
+    def test_requests_queued_behind_a_busy_worker_share_one_batch(self):
+        """A batch forms when a worker is free: the requests that queued
+        while the only worker was busy are taken together, not one by one."""
+        from repro.core.tags import SubjectiveTag
+        from repro.serve import SaccsRuntime
+
+        saccs = _BlockingStubSaccs()
+        runtime = SaccsRuntime(saccs, ServeConfig(workers=1, cache_size=0))
+        sizes = []
+
+        def search(text):
+            response = runtime.search([SubjectiveTag.from_text(text)])
+            sizes.append(response.batch_size)
+
+        with runtime:
+            busy = threading.Thread(target=search, args=("quiet place",))
+            busy.start()
+            assert saccs.entered.wait(5.0)
+            queued = [
+                threading.Thread(target=search, args=(text,))
+                for text in (
+                    "delicious food", "friendly staff", "cheap price", "good wine"
+                )
+            ]
+            for thread in queued:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while runtime._queue.qsize() < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            saccs.release.set()
+            busy.join(timeout=5.0)
+            for thread in queued:
+                thread.join(timeout=5.0)
+        assert sorted(sizes) == [1, 4, 4, 4, 4]
+
     def test_default_batcher_never_waits_for_stragglers(self):
-        """A lone request is batched alone at once: the default batcher
+        """A lone request is batched alone at once: by default a worker
         drains what is queued and never blocks on a straggler timeout."""
         from repro.core.tags import SubjectiveTag
         from repro.serve import SaccsRuntime
