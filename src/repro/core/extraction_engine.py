@@ -161,10 +161,10 @@ class ExtractionEngine:
         self.cache: Optional[ExtractionCache] = (
             ExtractionCache(self.config.cache_capacity) if self.config.cache_enabled else None
         )
-        #: serialises tagger access: the neural tagger's eval/train flip and
-        #: fused-weight scratch buffers are shared state, and a background
-        #: index rebuild extracts the corpus concurrently with serving
-        #: micro-batches.  Never held while any other lock is taken.
+        #: serialises tagger access: the neural tagger's eval/train flip is
+        #: shared state, and a background index rebuild extracts the corpus
+        #: concurrently with serving micro-batches.  Never held while any
+        #: other lock is taken.
         self._tagger_lock = make_lock("core.extract.tagger")
 
     def bind_metrics(self, metrics) -> None:

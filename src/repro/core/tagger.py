@@ -82,7 +82,8 @@ class SequenceTagger(Module):
         Exports lazily and caches per precision; a cached model is reused
         until the weights version moves (any :meth:`train` or
         :meth:`load_state_dict` call), so steady-state extraction exports
-        once and then runs allocation-free.
+        once per weights version.  The export holds weights only; each
+        forward's intermediates are freed when it returns.
         """
         precision = precision or self.encoder_precision
         cached = self._infer_models.get(precision)

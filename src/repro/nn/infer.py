@@ -10,16 +10,14 @@ of that is waste — the encode stage dominates bucketed ingest (see the
 * **Flat export** — :meth:`InferenceModel.from_tagger` copies every weight
   of a trained ``SequenceTagger`` (MiniBert encoder, BiLSTM, emission
   projection) into plain contiguous ndarrays, fused where the algebra
-  allows: the three Q/K/V projections of each attention layer become one
-  ``(D, 3D)`` gemm operand, and each LayerNorm's scale/shift is folded
-  into a single fused multiply-add pass in the target dtype.
+  allows: at float32 the three Q/K/V projections of each attention layer
+  become one ``(3D, D)`` gemm operand, and each LayerNorm's scale/shift is
+  re-materialised contiguously in the target dtype.
 * **No tape, ever** — the forward is pure numpy; nothing in this module
   constructs a ``Tensor`` or touches ``requires_grad``.
-* **Preallocated scratch** — all large intermediates (QKV, attention
-  scores/probs, FFN hidden, LSTM gates) live in per-geometry scratch
-  buffers keyed by the ``(batch, words)`` shape of the length bucket, so
-  the steady state of bucketed ingest performs zero per-call allocation
-  for them; gemms write straight into scratch via ``out=``.
+* **Stateless** — a forward writes nothing to the model.  Every
+  intermediate is an ordinary numpy result, freed when the forward
+  returns, and :meth:`InferenceModel.emissions` returns a fresh array.
 * **Reduced precision** — ``precision="float32"`` casts the exported
   weights once and runs the whole stack in float32.  The float64
   export replays the training forward's exact op order, so its emissions
@@ -33,17 +31,19 @@ of that is waste — the encode stage dominates bucketed ingest (see the
 * **Memoised word pooling** — duplicate words across a batch (piece-id
   rows that hash equal) are pooled from piece embeddings once and
   scattered to every occurrence.
-* **Opt-in attention capture** — the ``(B, H, T, T)`` per-layer attention
-  stack is only materialised when ``capture_attention=True``; bulk ingest
-  never asks for it, the pairing heuristic's per-sentence probe does.
+
+Attention maps are not produced here: the pairing heuristic and Figure 5
+read them from the tape MiniBert (``BertWordEncoder.attention``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.utils.numerics import sigmoid
 
 __all__ = [
     "PRECISIONS",
@@ -69,34 +69,42 @@ def _check_precision(precision: str) -> str:
 
 @dataclass
 class FusedAttention:
-    """One attention layer: Q/K/V fused into a single ``(D, 3D)`` gemm.
+    """One attention layer's projections, exported for one precision.
 
     Weights keep the module's ``(out, in)`` row layout and are transposed
     as *views* at matmul time — the exact BLAS transpose path the training
     forward takes (a materialised transpose routes through a different
     gemm kernel with different rounding).
 
-    The fused gemm itself is *not* bitwise-safe: at some geometries BLAS
-    picks a different kernel for the ``(D, 3D)`` operand than for three
-    ``(D, D)`` ones and rounds differently.  The float64 oracle export
-    therefore also keeps the three separate projections (``wq``/``wk``/
-    ``wv``) and replays the module's exact gemm shapes; the reduced
-    float32 path, which is tolerance-bounded, takes the fused fast path.
+    Each precision exports only the Q/K/V operands its forward reads.
+    float32 gets one fused ``(3D, D)`` operand (one gemm instead of three).
+    The fused gemm is *not* bitwise-safe: at some geometries BLAS picks a
+    different kernel for it than for three ``(D, D)`` operands and rounds
+    differently.  So the float64 oracle export keeps the three separate
+    projections (``wq``/``wk``/``wv``) and replays the module's exact gemm
+    shapes instead.
     """
 
-    wqkv: np.ndarray  #: ``(3D, D)`` — ``[Wq; Wk; Wv]`` stacked by rows
-    bqkv: np.ndarray  #: ``(3D,)``
     wo: np.ndarray  #: ``(D, D)`` — output projection, module layout
     bo: np.ndarray  #: ``(D,)``
     num_heads: int
     head_dim: int
-    #: float64 oracle path only: the unfused module projections.
+    #: float32 only: ``[Wq; Wk; Wv]`` stacked by rows, ``(3D, D)``.
+    wqkv: Optional[np.ndarray] = None
+    bqkv: Optional[np.ndarray] = None  #: ``(3D,)``
+    #: float64 only: the unfused module projections.
     wq: Optional[np.ndarray] = None
     wk: Optional[np.ndarray] = None
     wv: Optional[np.ndarray] = None
     bq: Optional[np.ndarray] = None
     bk: Optional[np.ndarray] = None
     bv: Optional[np.ndarray] = None
+
+    def arrays(self) -> List[np.ndarray]:
+        """Every exported operand of this layer, each exactly once."""
+        held = (self.wqkv, self.bqkv, self.wq, self.wk, self.wv,
+                self.bq, self.bk, self.bv, self.wo, self.bo)
+        return [a for a in held if a is not None]
 
 
 @dataclass
@@ -124,92 +132,55 @@ class FusedLstm:
     hidden: int
 
 
-class _Scratch:
-    """Preallocated per-geometry buffers for one ``(batch, words)`` shape.
-
-    The bucketed extraction engine feeds fixed-size length buckets, so the
-    same geometry recurs for the whole ingest pass; after the first call
-    per geometry the forward allocates nothing for these intermediates.
-    """
-
-    def __init__(self, batch: int, words: int, dim: int, ffn: int, heads: int,
-                 lstm_hidden: int, labels: int, dtype: np.dtype):
-        head_dim = dim // heads
-        self.hidden = np.empty((batch, words, dim), dtype=dtype)
-        self.residual = np.empty((batch, words, dim), dtype=dtype)
-        self.qkv = np.empty((batch, words, 3 * dim), dtype=dtype)
-        self.scores = np.empty((batch, heads, words, words), dtype=dtype)
-        self.context = np.empty((batch, heads, words, head_dim), dtype=dtype)
-        self.merged = np.empty((batch, words, dim), dtype=dtype)
-        self.attn_out = np.empty((batch, words, dim), dtype=dtype)
-        self.ffn_hidden = np.empty((batch, words, ffn), dtype=dtype)
-        self.ffn_out = np.empty((batch, words, dim), dtype=dtype)
-        self.norm_mu = np.empty((batch, words, 1), dtype=dtype)
-        self.norm_var = np.empty((batch, words, 1), dtype=dtype)
-        self.ffn_tmp = np.empty((batch, words, ffn), dtype=dtype)
-        self.gates_fwd = np.empty((batch, words, 4 * lstm_hidden), dtype=dtype)
-        self.gates_bwd = np.empty((batch, words, 4 * lstm_hidden), dtype=dtype)
-        self.features = np.empty((batch, words, 2 * lstm_hidden), dtype=dtype)
-        self.emissions = np.empty((batch, words, labels), dtype=dtype)
-
-
-def _sigmoid_into(x: np.ndarray, out: np.ndarray, exact: bool = True) -> np.ndarray:
+def _sigmoid(x: np.ndarray, exact: bool = True) -> np.ndarray:
     """Stable logistic sigmoid, dtype-preserving.
 
-    ``exact=True`` keeps the branch structure of
-    :func:`repro.utils.numerics.sigmoid` so the float64 path reproduces the
-    training forward bitwise.  ``exact=False`` (the float32 path, which
-    is tolerance-bounded rather than bitwise) uses the single-pass
-    ``1/(1+exp(-x))`` form: for very negative ``x`` the exp overflows to
-    ``inf`` and the quotient lands on exactly ``0.0`` — the right limit —
-    so only the overflow *warning* needs silencing, and the fancy-indexed
-    sign split (two partial passes plus mask allocations) disappears.
+    ``exact=True`` is :func:`repro.utils.numerics.sigmoid` itself, so the
+    float64 path reproduces the training forward bitwise.  ``exact=False``
+    (the float32 path, which is tolerance-bounded rather than bitwise) uses
+    the single-pass ``1/(1+exp(-x))`` form: for very negative ``x`` the exp
+    overflows to ``inf`` and the quotient lands on exactly ``0.0`` — the
+    right limit — so only the overflow *warning* needs silencing, and the
+    fancy-indexed sign split (two partial passes plus mask allocations)
+    disappears.
     """
-    one = x.dtype.type(1.0)
     if exact:
-        pos = x >= 0
-        out[pos] = one / (one + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (one + ex)
-        return out
+        return sigmoid(x)
+    one = x.dtype.type(1.0)
     with np.errstate(over="ignore"):
-        np.negative(x, out=out)
-        np.exp(out, out=out)
+        out = np.exp(-x)
         out += one
         np.divide(one, out, out=out)
     return out
 
 
-def _gelu_into(x: np.ndarray, out: np.ndarray, tmp: Optional[np.ndarray] = None,
-               exact: bool = True) -> np.ndarray:
+def _gelu(x: np.ndarray, exact: bool = True) -> np.ndarray:
     """GELU (tanh approximation), forward only — no local-gradient term.
 
     ``exact=True`` replays ``Tensor.gelu``'s forward ops (including its
     ``x**3`` via ``np.power``, which rounds differently from repeated
     multiplication) so the float64 path stays bitwise.  ``exact=False``
-    builds the cube as ``x*x*x`` into ``tmp`` — np.power with an array
-    operand takes the generic pow kernel, orders of magnitude slower than
-    two multiplies — at a rounding difference far inside the reduced
-    float32 tolerance.
+    builds the cube as ``x*x*x`` — np.power with an array operand takes the
+    generic pow kernel, orders of magnitude slower than two multiplies — at
+    a rounding difference far inside the reduced float32 tolerance.
     """
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
     half = x.dtype.type(0.5)
     one = x.dtype.type(1.0)
     k = x.dtype.type(0.044715)
-    if exact or tmp is None:
+    if exact:
         inner = c * (x + k * x**3)
     else:
-        inner = tmp
-        np.multiply(x, x, out=inner)
-        np.multiply(inner, x, out=inner)
+        inner = x * x
+        inner *= x
         inner *= k
         inner += x
         inner *= c
     np.tanh(inner, out=inner)
-    np.add(inner, one, out=inner)
-    np.multiply(inner, x, out=out)
-    out *= half
-    return out
+    inner += one
+    inner *= x
+    inner *= half
+    return inner
 
 
 class InferenceModel:
@@ -219,7 +190,9 @@ class InferenceModel:
     holds no reference to the live modules, so training can continue to
     mutate the tagger without corrupting an exported snapshot — staleness
     is the caller's contract (``SequenceTagger`` re-exports when its
-    weights may have changed).
+    weights may have changed).  A forward writes nothing to the model:
+    :meth:`emissions` is a pure function of the exported weights and
+    geometry, and every intermediate is freed when it returns.
     """
 
     def __init__(self, precision: str = "float64"):
@@ -248,9 +221,6 @@ class InferenceModel:
         self.lstm_bwd: Optional[FusedLstm] = None
         self.w_proj: Optional[np.ndarray] = None
         self.b_proj: Optional[np.ndarray] = None
-        #: per-layer attention maps of the last captured forward.
-        self.last_attention: List[np.ndarray] = []
-        self._scratch: Dict[Tuple[int, int], _Scratch] = {}
 
     # ----------------------------------------------------------------- export
 
@@ -260,12 +230,10 @@ class InferenceModel:
 
         Fusions applied at export time:
 
-        * Q/K/V: three ``(D, D)`` projections concatenated (transposed)
-          into one ``(D, 3D)`` operand — one gemm instead of three.
+        * Q/K/V (float32 only): three ``(D, D)`` projections concatenated
+          into one ``(3D, D)`` operand — one gemm instead of three.
         * LayerNorm: gamma/beta re-materialised contiguously in the target
-          dtype so the scale/shift applies as one fused multiply-add.
-        * LSTM: input/hidden gate matrices pre-transposed to the
-          ``x @ W`` layout the recurrence consumes.
+          dtype.
         """
         precision = _check_precision(precision)
         model = cls(precision)
@@ -290,21 +258,9 @@ class InferenceModel:
         model.emb_gamma = cast(bert.embedding_norm.gamma.data)
         model.emb_beta = cast(bert.embedding_norm.beta.data)
 
-        for index, layer in enumerate(bert.encoder.layers):
+        for layer in bert.encoder.layers:
             attn = layer.attention
-            # (3D, D): x @ wqkv.T yields [q | k | v] in one gemm; the .T
-            # view at matmul time takes the same BLAS transpose path as the
-            # Linear modules.
-            wqkv64 = np.concatenate(
-                [attn.query.weight.data, attn.key.weight.data, attn.value.weight.data],
-                axis=0,
-            )
-            bqkv64 = np.concatenate(
-                [attn.query.bias.data, attn.key.bias.data, attn.value.bias.data]
-            )
             fused_attention = FusedAttention(
-                wqkv=cast(wqkv64),
-                bqkv=cast(bqkv64),
                 wo=cast(attn.output.weight.data),
                 bo=cast(attn.output.bias.data),
                 num_heads=model.num_heads,
@@ -313,7 +269,7 @@ class InferenceModel:
             if precision == "float64":
                 # The oracle path replays the module's three separate
                 # projection gemms: at some geometries BLAS rounds the
-                # fused (D, 3D) operand differently, and this path's
+                # fused (3D, D) operand differently, and this path's
                 # contract is bitwise identity with the tape forward.
                 fused_attention.wq = cast(attn.query.weight.data)
                 fused_attention.wk = cast(attn.key.weight.data)
@@ -321,6 +277,17 @@ class InferenceModel:
                 fused_attention.bq = cast(attn.query.bias.data)
                 fused_attention.bk = cast(attn.key.bias.data)
                 fused_attention.bv = cast(attn.value.bias.data)
+            else:
+                # (3D, D): x @ wqkv.T yields [q | k | v] in one gemm; the .T
+                # view at matmul time takes the same BLAS transpose path as
+                # the Linear modules.
+                fused_attention.wqkv = cast(np.concatenate(
+                    [attn.query.weight.data, attn.key.weight.data, attn.value.weight.data],
+                    axis=0,
+                ))
+                fused_attention.bqkv = cast(np.concatenate(
+                    [attn.query.bias.data, attn.key.bias.data, attn.value.bias.data]
+                ))
             model.layers.append(
                 FusedLayer(
                     attention=fused_attention,
@@ -371,9 +338,8 @@ class InferenceModel:
             self.w_proj, self.b_proj,
         ]
         for layer in self.layers:
+            out.extend(layer.attention.arrays())
             out.extend([
-                layer.attention.wqkv, layer.attention.bqkv,
-                layer.attention.wo, layer.attention.bo,
                 layer.norm_attn_gamma, layer.norm_attn_beta,
                 layer.w_ffn_in, layer.b_ffn_in,
                 layer.w_ffn_out, layer.b_ffn_out,
@@ -381,46 +347,25 @@ class InferenceModel:
             ])
         return out
 
-    # ---------------------------------------------------------------- scratch
-
-    def _scratch_for(self, batch: int, words: int) -> _Scratch:
-        key = (batch, words)
-        scratch = self._scratch.get(key)
-        if scratch is None:
-            scratch = _Scratch(
-                batch, words, self.dim, self.ffn_dim, self.num_heads,
-                self.lstm_hidden, self.num_labels, self.dtype,
-            )
-            # Buckets repeat a handful of geometries; keep the pool bounded
-            # so adversarial length mixes cannot grow it without limit.
-            if len(self._scratch) >= 32:
-                self._scratch.pop(next(iter(self._scratch)))
-            self._scratch[key] = scratch
-        return scratch
-
     # ---------------------------------------------------------------- forward
 
-    def _layer_norm_inplace(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                            scratch: _Scratch) -> None:
-        """LayerNorm over the last axis, written back into ``x``.
+    def _layer_norm(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """LayerNorm over the last axis.
 
         Op order mirrors ``nn.layers.LayerNorm`` exactly (mean, centered,
         variance-of-centered, normalise) so float64 stays bitwise equal;
-        the learned scale/shift lands as one fused multiply-add.
+        the learned scale/shift lands in place on the normalised result.
         """
-        mu = scratch.norm_mu
-        var = scratch.norm_var
-        np.mean(x, axis=-1, keepdims=True, out=mu)
-        np.subtract(x, mu, out=x)
-        np.multiply(x, x, out=scratch.residual)
-        np.mean(scratch.residual, axis=-1, keepdims=True, out=var)
+        centered = x - np.mean(x, axis=-1, keepdims=True)
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
         var += self.dtype.type(self.layer_norm_eps)
         np.sqrt(var, out=var)
-        np.divide(x, var, out=x)
-        np.multiply(x, gamma, out=x)
-        np.add(x, beta, out=x)
+        centered /= var
+        centered *= gamma
+        centered += beta
+        return centered
 
-    def _pool_words(self, batch, out: np.ndarray) -> np.ndarray:
+    def _pool_words(self, batch) -> np.ndarray:
         """Piece-embedding pooling with cross-batch word memoisation.
 
         Every distinct ``(piece_ids, piece_mask)`` row across the batch is
@@ -446,27 +391,18 @@ class InferenceModel:
         weighted = vectors * unique_mask[..., None]
         counts = np.maximum(unique_mask.sum(axis=-1, keepdims=True), self.dtype.type(1.0))
         pooled = weighted.sum(axis=1) / counts  # (U, D)
-        np.copyto(out, pooled[inverse].reshape(b, t, self.dim))
-        return out
+        return pooled[inverse].reshape(b, t, self.dim)
 
-    def encode(self, batch, capture_attention: bool = False) -> np.ndarray:
-        """Contextual word representations ``(B, T, dim)`` — MiniBert only.
-
-        ``capture_attention=True`` additionally materialises the per-layer
-        ``(B, H, T, T)`` attention stacks into :attr:`last_attention`; by
-        default nothing beyond reusable scratch is allocated for them.
-        """
+    def encode(self, batch) -> np.ndarray:
+        """Contextual word representations ``(B, T, dim)`` — MiniBert only."""
         b = batch.batch_size
         t = batch.num_words
-        scratch = self._scratch_for(b, t)
-        hidden = scratch.hidden
-        self.last_attention = []
 
         # Embedding: memoised word pooling + positions + LayerNorm.
-        self._pool_words(batch, hidden)
+        hidden = self._pool_words(batch)
         positions = np.arange(t, dtype=np.int64) % self.max_positions
         hidden += self.position_embedding[positions]
-        self._layer_norm_inplace(hidden, self.emb_gamma, self.emb_beta, scratch)
+        hidden = self._layer_norm(hidden, self.emb_gamma, self.emb_beta)
 
         word_mask = np.ascontiguousarray(batch.word_mask, dtype=self.dtype)
         key_penalty = (self.dtype.type(1.0) - word_mask) * self.dtype.type(_NEG_INF)
@@ -474,8 +410,8 @@ class InferenceModel:
 
         for layer in self.layers:
             attn = layer.attention
-            # --- fused attention ---------------------------------------
-            if attn.wq is not None:
+            # --- attention ---------------------------------------------
+            if attn.wqkv is None:
                 # float64 oracle: the module's exact three-gemm shapes.
                 q_lin = np.matmul(hidden, attn.wq.T)
                 q_lin += attn.bq
@@ -487,52 +423,39 @@ class InferenceModel:
                 k = k_lin.reshape(b, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
                 v = v_lin.reshape(b, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
             else:
-                np.matmul(hidden, attn.wqkv.T, out=scratch.qkv)
-                scratch.qkv += attn.bqkv
-                heads = scratch.qkv.reshape(b, t, 3, self.num_heads, self.head_dim)
+                qkv = np.matmul(hidden, attn.wqkv.T)
+                qkv += attn.bqkv
+                heads = qkv.reshape(b, t, 3, self.num_heads, self.head_dim)
                 q = heads[:, :, 0].transpose(0, 2, 1, 3)  # (B, H, T, dh) views
                 k = heads[:, :, 1].transpose(0, 2, 1, 3)
                 v = heads[:, :, 2].transpose(0, 2, 1, 3)
-            np.matmul(q, k.transpose(0, 1, 3, 2), out=scratch.scores)
-            scratch.scores *= inv_sqrt
-            scratch.scores += key_penalty[:, None, None, :]
+            scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+            scores *= inv_sqrt
+            scores += key_penalty[:, None, None, :]
             # softmax over keys, in place (same shifted-exp form as
             # nn.functional.softmax).
-            shift = scratch.scores.max(axis=-1, keepdims=True)
-            scratch.scores -= shift
-            np.exp(scratch.scores, out=scratch.scores)
-            scratch.scores /= scratch.scores.sum(axis=-1, keepdims=True)
-            if capture_attention:
-                self.last_attention.append(scratch.scores.copy())
-            np.matmul(scratch.scores, v, out=scratch.context)
-            # (B,H,T,dh) → (B,T,D) merge lands in scratch (a reshape of the
-            # transposed view would have to copy-allocate every call).
-            np.copyto(
-                scratch.merged.reshape(b, t, self.num_heads, self.head_dim),
-                scratch.context.transpose(0, 2, 1, 3),
-            )
-            np.matmul(scratch.merged, attn.wo.T, out=scratch.attn_out)
-            scratch.attn_out += attn.bo
-            hidden += scratch.attn_out
-            self._layer_norm_inplace(
-                hidden, layer.norm_attn_gamma, layer.norm_attn_beta, scratch
-            )
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            context = np.matmul(scores, v)  # (B, H, T, dh)
+            merged = context.transpose(0, 2, 1, 3).reshape(b, t, self.dim)
+            attn_out = np.matmul(merged, attn.wo.T)
+            attn_out += attn.bo
+            hidden += attn_out
+            hidden = self._layer_norm(hidden, layer.norm_attn_gamma, layer.norm_attn_beta)
             # --- feed-forward -------------------------------------------
-            np.matmul(hidden, layer.w_ffn_in.T, out=scratch.ffn_hidden)
-            scratch.ffn_hidden += layer.b_ffn_in
-            _gelu_into(scratch.ffn_hidden, scratch.ffn_hidden,
-                       tmp=scratch.ffn_tmp, exact=self.exact_ops)
-            np.matmul(scratch.ffn_hidden, layer.w_ffn_out.T, out=scratch.ffn_out)
-            scratch.ffn_out += layer.b_ffn_out
-            hidden += scratch.ffn_out
-            self._layer_norm_inplace(
-                hidden, layer.norm_ffn_gamma, layer.norm_ffn_beta, scratch
-            )
+            ffn_hidden = np.matmul(hidden, layer.w_ffn_in.T)
+            ffn_hidden += layer.b_ffn_in
+            ffn_hidden = _gelu(ffn_hidden, exact=self.exact_ops)
+            ffn_out = np.matmul(ffn_hidden, layer.w_ffn_out.T)
+            ffn_out += layer.b_ffn_out
+            hidden += ffn_out
+            hidden = self._layer_norm(hidden, layer.norm_ffn_gamma, layer.norm_ffn_beta)
         return hidden
 
     def _lstm_direction(self, x: np.ndarray, mask: np.ndarray, weights: FusedLstm,
-                        gates: np.ndarray, out: np.ndarray, reverse: bool) -> None:
-        """One LSTM direction into ``out[:, :, :H]`` (no tape, no stacking).
+                        reverse: bool) -> np.ndarray:
+        """One LSTM direction's hidden states ``(B, T, H)`` (no tape).
 
         The recurrence mirrors ``nn.rnn.LSTM`` op-for-op: precomputed input
         projection, per-step fused-gate gemv, masked carry-through.
@@ -540,57 +463,47 @@ class InferenceModel:
         b, t, _ = x.shape
         h_size = weights.hidden
         exact = self.exact_ops
-        np.matmul(x, weights.w_ih.T, out=gates)
+        gates = np.matmul(x, weights.w_ih.T)
         gates += weights.bias
         h = np.zeros((b, h_size), dtype=x.dtype)
         c = np.zeros((b, h_size), dtype=x.dtype)
-        z = np.empty((b, 4 * h_size), dtype=x.dtype)
-        gate_buf = np.zeros((b, 4 * h_size), dtype=x.dtype)
+        out = np.empty((b, t, h_size), dtype=x.dtype)
         order = range(t - 1, -1, -1) if reverse else range(t)
         one = x.dtype.type(1.0)
         for step in order:
-            np.matmul(h, weights.w_hh.T, out=z)
+            z = np.matmul(h, weights.w_hh.T)
             z += gates[:, step, :]
-            i_gate = _sigmoid_into(z[:, 0:h_size], gate_buf[:, 0:h_size], exact=exact)
-            f_gate = _sigmoid_into(z[:, h_size:2 * h_size], gate_buf[:, h_size:2 * h_size], exact=exact)
+            i_gate = _sigmoid(z[:, 0:h_size], exact=exact)
+            f_gate = _sigmoid(z[:, h_size:2 * h_size], exact=exact)
             g_gate = np.tanh(z[:, 2 * h_size:3 * h_size])
-            o_gate = _sigmoid_into(z[:, 3 * h_size:4 * h_size], gate_buf[:, 3 * h_size:4 * h_size], exact=exact)
+            o_gate = _sigmoid(z[:, 3 * h_size:4 * h_size], exact=exact)
             c_new = f_gate * c + i_gate * g_gate
             h_new = o_gate * np.tanh(c_new)
             m = mask[:, step:step + 1]
             h = h_new * m + h * (one - m)
             c = c_new * m + c * (one - m)
             out[:, step, :] = h
+        return out
 
-    def emissions(self, batch, capture_attention: bool = False) -> np.ndarray:
+    def emissions(self, batch) -> np.ndarray:
         """Per-token label scores ``(B, T, L)`` — the full encoder stack.
 
         Equivalent to ``SequenceTagger.emissions`` in eval mode (bitwise at
-        float64, tolerance-bounded at float32); returns a plain
-        ndarray that feeds ``LinearChainCRF.decode`` directly.
+        float64, tolerance-bounded at float32); returns a fresh ndarray
+        that feeds ``LinearChainCRF.decode`` directly.
         """
-        hidden = self.encode(batch, capture_attention=capture_attention)
-        b = batch.batch_size
-        t = batch.num_words
-        scratch = self._scratch_for(b, t)
+        hidden = self.encode(batch)
         mask = np.ascontiguousarray(batch.word_mask, dtype=self.dtype)
-        h = self.lstm_hidden
-        self._lstm_direction(
-            hidden, mask, self.lstm_fwd, scratch.gates_fwd,
-            scratch.features[:, :, 0:h], reverse=False,
+        features = np.concatenate(
+            [
+                self._lstm_direction(hidden, mask, self.lstm_fwd, reverse=False),
+                self._lstm_direction(hidden, mask, self.lstm_bwd, reverse=True),
+            ],
+            axis=-1,
         )
-        self._lstm_direction(
-            hidden, mask, self.lstm_bwd, scratch.gates_bwd,
-            scratch.features[:, :, h:2 * h], reverse=True,
-        )
-        np.matmul(scratch.features, self.w_proj.T, out=scratch.emissions)
-        scratch.emissions += self.b_proj
-        return scratch.emissions
-
-    def attention_maps(self) -> List[np.ndarray]:
-        """Captured per-layer ``(B, H, T, T)`` attention of the last
-        ``capture_attention=True`` forward (empty otherwise)."""
-        return self.last_attention
+        scores = np.matmul(features, self.w_proj.T)
+        scores += self.b_proj
+        return scores
 
 
 # --------------------------------------------------------------------------- equivalence
