@@ -126,7 +126,7 @@ class TestFusedForward:
         assert fused.dtype == np.float64
         assert np.array_equal(np.asarray(fused), oracle.data)
 
-    def test_emissions_are_idempotent_and_never_alias(self, tagger, sentences):
+    def test_scratch_reuse_is_idempotent(self, tagger, sentences):
         model = tagger.inference_model("float64")
         batch = tagger.encoder.batch(sentences)
         # same (batch, words) geometry, different rows
