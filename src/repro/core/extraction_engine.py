@@ -163,8 +163,8 @@ class ExtractionEngine:
         )
         #: serialises tagger access: the neural tagger's eval/train flip is
         #: shared state, and a background index rebuild extracts the corpus
-        #: concurrently with serving micro-batches.  Never held while any
-        #: other lock is taken.
+        #: concurrently with served utterances and session turns.  Never
+        #: held while any other lock is taken.
         self._tagger_lock = make_lock("core.extract.tagger")
 
     def bind_metrics(self, metrics) -> None:
@@ -320,11 +320,15 @@ class ExtractionEngine:
     def extract_token_lists(
         self, token_lists: Sequence[Sequence[str]]
     ) -> List[List[SubjectiveTag]]:
-        """Bucketed extraction for raw token lists (utterance micro-batches).
+        """Bucketed extraction for raw token lists (utterances, session turns).
 
-        No cache here — the serving layer already caches per (utterance,
-        generation).  Used by ``SaccsRuntime`` so the utterances of one
-        micro-batch share encoder forwards.
+        No cache here: served utterances are almost all distinct, and a
+        repeated one is answered by the runtime's ranking cache after
+        extraction.  ``SaccsRuntime`` calls this on the request thread for
+        each subjective ``/search``, and ``ConversationSession`` for each
+        subjective turn, so both run at the configured encoder precision
+        under the tagger lock and report into the engine's counters and
+        spans.
         """
         if not isinstance(self.extractor, TagExtractor):
             raise TypeError("utterance extraction needs a neural TagExtractor")

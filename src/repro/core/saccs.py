@@ -151,9 +151,9 @@ class Saccs:
         #: reviews are dropped before extraction.
         self.review_filter = review_filter
         #: the corpus-wide batched extraction pass (buckets, pairing,
-        #: content-hash cache).  Shared with the serving runtime so utterance
-        #: micro-batches reuse the same buckets and ``/metrics`` sees the
-        #: cache counters.
+        #: content-hash cache).  Served utterances and session turns are
+        #: extracted through it too, so they share its tagger lock and
+        #: precision, and ``/metrics`` sees its counters.
         self.extraction_engine = ExtractionEngine(extractor, self.config.extraction_config())
         self.user_tag_history: List[SubjectiveTag] = []
         #: monotonically increasing counter, bumped by every indexing round

@@ -93,7 +93,9 @@ class ConversationSession:
         self.stage: Optional[ConversationStage] = stage
         self.active_tags: List[SubjectiveTag] = []
         self.slots: Dict[str, str] = {}
-        self.turns: List[Turn] = []
+        #: the most recent turn (``state_summary`` renders it); callers that
+        #: want a transcript keep the turns :meth:`say` returns.
+        self.last_turn: Optional[Turn] = None
 
     # --------------------------------------------------------------- updates
 
@@ -139,7 +141,7 @@ class ConversationSession:
                 utterance, [], [], dict(self.slots), [],
                 resolved=utterance, route=ROUTE_CHITCHAT,
             )
-            self.turns.append(turn)
+            self.last_turn = turn
             return turn
 
         removed = self._retractions(utterance)
@@ -171,7 +173,8 @@ class ConversationSession:
         # a retraction turn does not add its aspect back; an empty utterance
         # has nothing to extract (and some taggers choke on zero tokens).
         if not removed and extract_tokens:
-            for tag in self.saccs.extractor.extract(list(extract_tokens)):
+            extracted = self.saccs.extraction_engine.extract_token_lists([extract_tokens])[0]
+            for tag in extracted:
                 if tag not in self.active_tags:
                     self.active_tags.append(tag)
                     added.append(tag)
@@ -187,7 +190,7 @@ class ConversationSession:
             utterance, added, removed, dict(self.slots), results,
             resolved=resolved, route=route, shift=shift,
         )
-        self.turns.append(turn)
+        self.last_turn = turn
         return turn
 
     # --------------------------------------------------------------- ranking
@@ -223,8 +226,8 @@ class ConversationSession:
         tags = ", ".join(sorted(t.text for t in self.active_tags)) or "(none)"
         slots = ", ".join(f"{k}={v}" for k, v in sorted(self.slots.items())) or "(none)"
         summary = f"tags: {tags} | slots: {slots}"
-        if self.turns:
-            last = self.turns[-1]
+        last = self.last_turn
+        if last is not None:
             turn_fields = {
                 "raw": last.utterance,
                 "resolved": last.resolved,

@@ -15,7 +15,7 @@ import numpy as np
 from repro.bert.encoder import BertWordEncoder
 from repro.bert.model import BatchEncoding
 from repro.nn import BiLSTM, Dropout, LinearChainCRF, Linear, Module
-from repro.nn.infer import PRECISIONS, InferenceModel
+from repro.nn.infer import InferenceModel
 from repro.nn.tensor import Tensor
 from repro.text.labels import ID_TO_LABEL, LABEL_TO_ID, NUM_LABELS, forbidden_transitions, labels_to_spans
 from repro.utils.timing import StageTimings
@@ -34,7 +34,6 @@ class SequenceTagger(Module):
         dropout: float = 0.1,
         decode_beam: Optional[int] = None,
         use_crf: bool = True,
-        encoder_precision: str = "float64",
     ):
         super().__init__()
         self.encoder = encoder
@@ -52,14 +51,6 @@ class SequenceTagger(Module):
             self.crf = LinearChainCRF(NUM_LABELS, rng)
             self.crf.constrain_transitions(forbidden_transitions())
         self.decode_beam = decode_beam
-        #: default precision for :meth:`predict`'s tape-free fused path.
-        #: ``"float64"`` replays the training forward bitwise; ``"float32"``
-        #: trades tolerance-bounded emission error for speed.
-        if encoder_precision not in PRECISIONS:
-            raise ValueError(
-                f"encoder_precision must be one of {PRECISIONS}, got {encoder_precision!r}"
-            )
-        self.encoder_precision = encoder_precision
         # Exported InferenceModels keyed by precision, invalidated by the
         # weights version: train() and load_state_dict() are the sanctioned
         # "weights may have changed" signals and each bumps the counter.
@@ -79,13 +70,17 @@ class SequenceTagger(Module):
     def inference_model(self, precision: Optional[str] = None) -> InferenceModel:
         """The tape-free fused export of this tagger at ``precision``.
 
+        ``None`` means ``"float64"``, which replays the training forward
+        bitwise; ``"float32"`` trades tolerance-bounded emission error for
+        speed.
+
         Exports lazily and caches per precision; a cached model is reused
         until the weights version moves (any :meth:`train` or
         :meth:`load_state_dict` call), so steady-state extraction exports
         once per weights version.  The export holds weights only; each
         forward's intermediates are freed when it returns.
         """
-        precision = precision or self.encoder_precision
+        precision = precision or "float64"
         cached = self._infer_models.get(precision)
         if cached is not None and cached[0] == self._infer_version:
             return cached[1]
@@ -138,7 +133,7 @@ class SequenceTagger(Module):
         """IOB label sequences for a batch of tokenised sentences.
 
         Runs the tape-free fused inference path (:mod:`repro.nn.infer`) at
-        ``precision`` (default :attr:`encoder_precision`); the float64
+        ``precision`` (default ``"float64"``); the float64
         export is bitwise identical to the autograd forward, so the default
         behaviour is unchanged while skipping all tape construction.
 

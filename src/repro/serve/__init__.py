@@ -1,10 +1,11 @@
 """`repro.serve` — a concurrent serving runtime for SACCS.
 
 Turns the single-threaded :class:`~repro.core.saccs.Saccs` facade into a
-service: a micro-batching scheduler that folds concurrent lookups into the
-facade's batched index path, a TTL-evicting concurrent session store, a
-two-level generation-stamped cache, a lock-safe metrics registry, and a
-stdlib-only JSON-over-HTTP frontend.  Start one with::
+service: a micro-batching scheduler that folds concurrent tag queries into
+the facade's batched index path (utterances are extracted on the request
+thread first), a TTL-evicting concurrent session store, a generation-stamped
+ranking cache, a lock-safe metrics registry, and a stdlib-only
+JSON-over-HTTP frontend.  Start one with::
 
     from repro.serve import SaccsHttpServer, SaccsRuntime, ServeConfig
 

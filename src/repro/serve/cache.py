@@ -1,11 +1,11 @@
-"""Two-level generational cache for the serving runtime.
+"""Generational ranking cache for the serving runtime.
 
-Level 1 maps a *normalised utterance* to its extracted tags (saves a tagger
-forward pass); level 2 maps a *frozen tag query* to its ranking (saves the
-index lookup + Algorithm 1 entirely).  Both levels stamp every entry with
-the :attr:`~repro.core.saccs.Saccs.index_generation` it was computed under:
-a reindex bumps the generation, so stale entries miss deterministically —
-no flush races, no serving a pre-reindex ranking after the index moved.
+Maps a *frozen tag query* (tag texts, ``top_k``, API restriction) to its
+ranking, which saves the index lookup and Algorithm 1 entirely.  Every
+entry is stamped with the :attr:`~repro.core.saccs.Saccs.index_generation`
+it was computed under: a reindex bumps the generation, so stale entries
+miss deterministically — no flush races, no serving a pre-reindex ranking
+after the index moved.
 
 Keys are content fingerprints from :func:`repro.utils.caching.fingerprint`,
 so arbitrarily long tag lists hash to fixed-size keys.
@@ -13,7 +13,6 @@ so arbitrarily long tag lists hash to fixed-size keys.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Optional, Sequence, Tuple
 
@@ -22,18 +21,6 @@ from repro.utils.caching import fingerprint
 from repro.utils.locks import make_lock
 
 __all__ = ["GenerationalCache", "ServingCache"]
-
-_MISS = object()
-
-#: closed (level, outcome) → counter-name map: the two cache levels each get
-#: exactly two counters, spelled out here so metric cardinality is bounded
-#: by construction (see the metric-name-literal lint rule).
-_CACHE_COUNTERS = {
-    ("cache.tags", True): "cache.tags.hit",
-    ("cache.tags", False): "cache.tags.miss",
-    ("cache.ranking", True): "cache.ranking.hit",
-    ("cache.ranking", False): "cache.ranking.miss",
-}
 
 
 class GenerationalCache:
@@ -93,33 +80,16 @@ class GenerationalCache:
 
 
 class ServingCache:
-    """The runtime's two cache levels plus their metrics wiring.
+    """The runtime's ranking cache plus its metrics wiring.
 
     ``metrics`` (a :class:`~repro.serve.metrics.MetricsRegistry`, optional)
-    receives ``cache.tags.hit/miss`` and ``cache.ranking.hit/miss``
-    counters, which the registry rolls up into hit ratios.
+    receives ``cache.ranking.hit/miss`` counters, which the registry rolls
+    up into a hit ratio.
     """
 
     def __init__(self, max_size: int = 4096, metrics=None):
-        self.tags = GenerationalCache(max_size)
         self.rankings = GenerationalCache(max_size)
         self.metrics = metrics
-
-    # ----------------------------------------------- level 1: utterance→tags
-
-    @staticmethod
-    def _utterance_key(utterance: str) -> str:
-        return fingerprint(["utterance", " ".join(utterance.lower().split())])
-
-    def tags_for(self, utterance: str, generation: int):
-        value = self.tags.get(self._utterance_key(utterance), generation)
-        self._count("cache.tags", value is not None)
-        return value
-
-    def put_tags(self, utterance: str, generation: int, tags) -> None:
-        self.tags.put(self._utterance_key(utterance), generation, tags)
-
-    # ----------------------------------------------- level 2: tagset→ranking
 
     @staticmethod
     def _ranking_key(
@@ -141,7 +111,15 @@ class ServingCache:
     ):
         key = self._ranking_key(tag_texts, top_k, api_entity_ids)
         value = self.rankings.get(key, generation)
-        self._count("cache.ranking", value is not None)
+        hit = value is not None
+        if self.metrics is not None:
+            if hit:
+                self.metrics.incr("cache.ranking.hit")
+            else:
+                self.metrics.incr("cache.ranking.miss")
+        # Stamp the lookup outcome onto the active request trace (no-op
+        # untraced), so a span tree shows whether the cache answered.
+        obs.annotate(**{"cache.ranking": "hit" if hit else "miss"})
         return value
 
     def put_ranking(
@@ -168,17 +146,4 @@ class ServingCache:
         checks the stored generation against the caller's current one — so
         running late is safe where running early is not.
         """
-        return self.tags.purge_older_than(generation) + self.rankings.purge_older_than(
-            generation
-        )
-
-    def invalidate_before(self, generation: int) -> int:
-        """Back-compat alias for :meth:`sweep`."""
-        return self.sweep(generation)
-
-    def _count(self, base: str, hit: bool) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(_CACHE_COUNTERS[(base, hit)])
-        # Stamp the lookup outcome onto the active request trace (no-op
-        # untraced), so a span tree shows which cache level answered.
-        obs.annotate(**{base: "hit" if hit else "miss"})
+        return self.rankings.purge_older_than(generation)

@@ -1,11 +1,18 @@
 """The serving runtime: request queue → worker pool → cache → facade.
 
 :class:`SaccsRuntime` owns one :class:`~repro.core.saccs.Saccs` facade and
-turns it into a concurrent service.  The pipeline has two stages:
+turns it into a concurrent service.  Every ``/search`` takes one path:
 
-1. ``search()`` checks the ranking cache (generation-stamped; a reindex
-   invalidates deterministically) and otherwise enqueues the request.
-2. **Worker** threads drain the queue.  A free worker takes the oldest
+1. The request thread turns the request into a tag query.  ``search()``
+   has one already; ``search_utterance()`` parses the utterance once
+   (:meth:`Saccs.understand`) and, on a subjective turn, extracts its tags
+   through the extraction engine outside the facade lock (the engine's
+   tagger lock serialises the tagger, as it does for background
+   rebuilds).  Objective and chitchat turns carry no tags.
+2. The ranking cache (generation-stamped; a reindex invalidates
+   deterministically) answers a repeated query; otherwise the query is
+   enqueued.
+3. **Worker** threads drain the queue.  A free worker takes the oldest
    request and tops the batch up from the queue, up to
    ``max_batch_size`` requests.  By default (``max_wait_ms=0``) it never
    sleeps: a batch is the first request plus whatever else is already
@@ -17,11 +24,8 @@ turns it into a concurrent service.  The pipeline has two stages:
    queries are computed once), per-request results are sliced, cached and
    resolved.
 
-The runtime never runs Algorithm 1 itself.  An utterance is parsed once by
-:meth:`Saccs.understand`; subjective turns ride the queue to extraction and
-:meth:`Saccs.answer_many`, objective and chitchat turns rank their API list
-through the same method without extraction — exactly what
-:meth:`Saccs.answer` does.
+The runtime never runs Algorithm 1 itself, and :meth:`Saccs.answer_many`
+is its only entry on the read path.
 
 Equivalence guarantee: because the similarity kernel evaluates small blocks
 row-stationary and :meth:`answer_many` keeps per-request semantics,
@@ -83,7 +87,7 @@ class ServeConfig:
     #: worker threads; each drains the request queue and executes its
     #: batches, so ``start()`` spawns exactly this many.
     workers: int = 2
-    #: entries per cache level; 0 disables caching.
+    #: ranking-cache entries; 0 disables caching.
     cache_size: int = 4096
     #: idle session time-to-live.
     session_ttl_seconds: float = 1800.0
@@ -121,30 +125,20 @@ class ServeConfig:
 
 
 class _Pending:
-    """One enqueued search: inputs, completion event, outputs.
-
-    Two kinds share the queue: tag queries (``tags`` set on enqueue) and
-    utterance queries (``tags is None`` until the worker extracts them —
-    ``utterance``/``tokens`` carry the input, so every utterance in a
-    micro-batch shares one bucketed encoder forward)."""
+    """One enqueued tag query: inputs, completion event, outputs."""
 
     __slots__ = ("tags", "top_k", "api_entity_ids", "event", "results", "error",
-                 "generation", "batch_size", "utterance", "tokens", "ctx",
-                 "enqueued_at")
+                 "generation", "batch_size", "ctx", "enqueued_at")
 
     def __init__(
         self,
-        tags: Optional[Tuple[SubjectiveTag, ...]],
+        tags: Tuple[SubjectiveTag, ...],
         top_k: Optional[int],
         api_entity_ids: Optional[Tuple[str, ...]],
-        utterance: Optional[str] = None,
-        tokens: Optional[Tuple[str, ...]] = None,
     ):
         self.tags = tags
         self.top_k = top_k
         self.api_entity_ids = api_entity_ids
-        self.utterance = utterance
-        self.tokens = tokens
         #: root span of the requesting trace; carried across the queue
         #: hand-off so the worker can attribute its stages to this request.
         self.ctx: Optional[obs.ActiveSpan] = None
@@ -194,8 +188,9 @@ class SaccsRuntime:
             ttl_seconds=self.config.session_ttl_seconds,
             max_sessions=self.config.max_sessions,
         )
-        #: serialises every facade touch (index matrices, tag history,
-        #: extractor state are shared and not thread-safe).
+        #: serialises every facade touch (index matrices and tag history
+        #: are shared and not thread-safe).  Extraction needs no facade
+        #: lock: the extraction engine serialises its own tagger.
         self._facade_lock = make_rlock("serve.runtime.facade")
         #: serialises start/stop: concurrent callers must not double-spawn
         #: or double-drain the scheduler threads.
@@ -285,39 +280,82 @@ class SaccsRuntime:
         return self.saccs.index_generation
 
     def search(
-        self,
-        tags: Sequence[SubjectiveTag],
-        top_k: Optional[int] = None,
-        _api_entity_ids: Optional[Tuple[str, ...]] = None,
+        self, tags: Sequence[SubjectiveTag], top_k: Optional[int] = None
     ) -> SearchResponse:
         """Rank entities for ``tags`` through the batched pipeline."""
         if not self._running:
             raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
         self.metrics.incr("requests.search")
         tags = tuple(tags)
-        tag_texts = tuple(tag.text for tag in tags)
         with self.metrics.time("latency.search_seconds"):
             with self.tracer.trace("serve.search", kind="tags", tags=len(tags)):
-                # Snapshot the generation once: the cache probe and the
-                # response stamp must agree, or a reindex landing between
-                # two reads would label old-generation results as new.
-                generation = self.generation
-                cached = self.cache.ranking_for(
-                    tag_texts, top_k, generation, api_entity_ids=_api_entity_ids
-                )
-                if cached is not None:
-                    return SearchResponse(
-                        results=cached,
-                        generation=generation,
-                        cached=True,
-                        batch_size=0,
-                        tags=tag_texts,
-                    )
-                pending = _Pending(tags, top_k, _api_entity_ids)
-                return self._enqueue_and_wait(pending)
+                return self._answer(tags, None, top_k)
 
-    def _enqueue_and_wait(self, pending: _Pending) -> SearchResponse:
-        """Queue one request for the workers and block on its resolution."""
+    def search_utterance(self, utterance: str, top_k: Optional[int] = None) -> SearchResponse:
+        """Full conversational ``/search``: extract tags, restrict by slots.
+
+        Byte-identical to :meth:`Saccs.answer` on every route: the
+        utterance is parsed once by :meth:`Saccs.understand`, a subjective
+        turn is extracted here on the request thread, and the resulting
+        (tags, API ids) query takes the same cache → queue → worker path as
+        :meth:`search`.  Objective and chitchat turns take it with no tags.
+        """
+        if not isinstance(self.saccs.extractor, TagExtractor):
+            raise ProtocolError(
+                "utterance search needs a neural TagExtractor; this runtime "
+                "was started with the oracle extractor — query with 'tags'",
+                status=501,
+                code="utterances_unavailable",
+            )
+        if not self._running:
+            raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
+        self.metrics.incr("requests.search_utterance")
+        with self.metrics.time("latency.search_seconds"):
+            with self.tracer.trace("serve.search", kind="utterance"):
+                # Parsing and the objective-slot API probe are read-only over
+                # the dialog shim, so they stay outside the facade lock.
+                with obs.span("serve.parse"):
+                    parsed, api_ids = self.saccs.understand(utterance)
+                with obs.span("conv.classify") as sp:
+                    route = parsed.route
+                    sp.set(route=route)
+                self.metrics.incr(ROUTE_COUNTERS[route])
+                tags: Tuple[SubjectiveTag, ...] = ()
+                if route == ROUTE_SUBJECTIVE:
+                    # No facade lock: the engine's tagger lock serialises
+                    # the tagger against workers' and rebuilds' use of it.
+                    with self.metrics.time("latency.extract_seconds"):
+                        tags = tuple(
+                            self.saccs.extraction_engine.extract_token_lists(
+                                [parsed.tokens]
+                            )[0]
+                        )
+                return self._answer(tags, api_ids, top_k)
+
+    def _answer(
+        self,
+        tags: Tuple[SubjectiveTag, ...],
+        api_entity_ids: Optional[Tuple[str, ...]],
+        top_k: Optional[int],
+    ) -> SearchResponse:
+        """The ranking cache, else one queued request for the workers."""
+        tag_texts = tuple(tag.text for tag in tags)
+        # Snapshot the generation once: the cache probe and the response
+        # stamp must agree, or a reindex landing between two reads would
+        # label old-generation results as new.
+        generation = self.generation
+        cached = self.cache.ranking_for(
+            tag_texts, top_k, generation, api_entity_ids=api_entity_ids
+        )
+        if cached is not None:
+            return SearchResponse(
+                results=cached,
+                generation=generation,
+                cached=True,
+                batch_size=0,
+                tags=tag_texts,
+            )
+        pending = _Pending(tags, top_k, api_entity_ids)
         active = obs.current_span()
         if active is not None:
             pending.ctx = active
@@ -333,64 +371,8 @@ class SaccsRuntime:
             generation=pending.generation,
             cached=False,
             batch_size=pending.batch_size,
-            tags=tuple(tag.text for tag in pending.tags),
+            tags=tag_texts,
         )
-
-    def search_utterance(self, utterance: str, top_k: Optional[int] = None) -> SearchResponse:
-        """Full conversational ``/search``: extract tags, restrict by slots.
-
-        Byte-identical to :meth:`Saccs.answer` on every route: the
-        utterance is parsed once by :meth:`Saccs.understand`, and the
-        extracted tags are cached per (utterance, generation).  On a tags
-        cache miss a subjective *utterance itself* rides the micro-batch
-        queue: the worker extracts every utterance in the batch through the
-        extraction engine's bucketed path, so concurrent ``/search``
-        utterances share one encoder forward instead of tagging one by one.
-        """
-        if not isinstance(self.saccs.extractor, TagExtractor):
-            raise ProtocolError(
-                "utterance search needs a neural TagExtractor; this runtime "
-                "was started with the oracle extractor — query with 'tags'",
-                status=501,
-                code="utterances_unavailable",
-            )
-        self.metrics.incr("requests.search_utterance")
-        cached = self.cache.tags_for(utterance, self.generation)
-        if cached is not None:
-            tags, api_ids = cached
-            return self.search(tags, top_k=top_k, _api_entity_ids=api_ids)
-        if not self._running:
-            raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
-        with self.metrics.time("latency.search_seconds"):
-            with self.tracer.trace("serve.search", kind="utterance"):
-                # Parsing and the objective-slot API probe are read-only over
-                # the dialog shim, so they stay outside the facade lock.
-                with obs.span("serve.parse"):
-                    parsed, api_ids = self.saccs.understand(utterance)
-                with obs.span("conv.classify") as sp:
-                    route = parsed.route
-                    sp.set(route=route)
-                self.metrics.incr(ROUTE_COUNTERS[route])
-                if route != ROUTE_SUBJECTIVE:
-                    # No subjective content to extract: chitchat and
-                    # objective turns never reach the encoder — their API
-                    # list ranked with no tag sets is the whole answer.
-                    with self._facade_lock:
-                        generation = self.saccs.index_generation
-                        ranked = self.saccs.answer_many([()], [api_ids])[0]
-                    if top_k is not None:
-                        ranked = ranked[:top_k]
-                    return SearchResponse(
-                        results=tuple(ranked),
-                        generation=generation,
-                        cached=False,
-                        batch_size=0,
-                        tags=(),
-                    )
-                pending = _Pending(
-                    None, top_k, api_ids, utterance=utterance, tokens=tuple(parsed.tokens)
-                )
-                return self._enqueue_and_wait(pending)
 
     # --------------------------------------------------------------- sessions
 
@@ -697,15 +679,11 @@ class SaccsRuntime:
     def _execute_batch(self, batch: List[_Pending]) -> None:
         """Run one micro-batch under the facade lock.
 
-        Utterance requests are tagged first — every distinct utterance in
-        the batch goes through one bucketed
-        :meth:`~repro.core.extraction_engine.ExtractionEngine.extract_token_lists`
-        call (shared encoder forwards, batch Viterbi), and the extracted
-        tags are cached per (utterance, generation).  Then distinct (tags,
-        api-restriction) queries share one :meth:`Saccs.answer_many` call;
-        duplicates are computed once and every request receives results
-        bit-identical to a sequential facade call.  Per-request ``top_k``
-        is a post-slice so it cannot perturb scores.
+        Distinct (tags, api-restriction) queries share one
+        :meth:`Saccs.answer_many` call; duplicates are computed once and
+        every request receives results bit-identical to a sequential facade
+        call.  Per-request ``top_k`` is a post-slice so it cannot perturb
+        scores.
 
         Tracing: the worker re-activates every traced member's root span as
         one group (``obs.scope``), so each stage below fans a child span
@@ -725,27 +703,6 @@ class SaccsRuntime:
                     )
         with obs.scope(roots):
             with obs.span("serve.batch", batch_size=len(batch)):
-                untagged = [pending for pending in batch if pending.tags is None]
-                if untagged:
-                    by_utterance: Dict[str, List[_Pending]] = {}
-                    for pending in untagged:
-                        by_utterance.setdefault(pending.utterance, []).append(pending)
-                    utterances = list(by_utterance)
-                    with self.metrics.time("latency.extract_seconds"):
-                        with self._facade_lock:
-                            tag_generation = self.saccs.index_generation
-                            tag_lists = self.saccs.extraction_engine.extract_token_lists(
-                                [list(by_utterance[u][0].tokens) for u in utterances]
-                            )
-                    for utterance, extracted in zip(utterances, tag_lists):
-                        waiting = by_utterance[utterance]
-                        for pending in waiting:
-                            pending.tags = tuple(extracted)
-                        self.cache.put_tags(
-                            utterance,
-                            tag_generation,
-                            (tuple(extracted), waiting[0].api_entity_ids),
-                        )
                 distinct: Dict[Tuple, int] = {}
                 order: List[_Pending] = []
                 for pending in batch:

@@ -10,6 +10,7 @@ survive the index moving).
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -528,6 +529,63 @@ class TestSessionsOverHttp:
                 runtime.search_utterance(utterance)
                 assert calls == [utterance]
                 calls.clear()
+
+    def test_extraction_does_not_wait_for_the_facade_lock(self, neural_saccs):
+        """A subjective /search is extracted on the request thread while
+        another thread holds the facade lock; it ranks once the lock frees."""
+        utterance = "somewhere with really delicious food"
+        assert neural_saccs.dialog.recognizer.parse(utterance).route == "subjective"
+        expected = neural_saccs.answer(utterance)
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            responses = []
+            request = threading.Thread(
+                target=lambda: responses.append(runtime.search_utterance(utterance))
+            )
+            runtime._facade_lock.acquire()
+            try:
+                request.start()
+                deadline = time.monotonic() + 5.0
+                while (
+                    runtime.metrics.counter("extract.sentences") < 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                extracted = runtime.metrics.counter("extract.sentences")
+            finally:
+                runtime._facade_lock.release()
+            request.join(timeout=30.0)
+        assert extracted == 1
+        assert [list(response.results) for response in responses] == [expected]
+
+    def test_repeated_objective_turn_is_served_from_the_ranking_cache(self, neural_saccs):
+        """Objective turns take the queued path with no tags, so the
+        ranking cache answers a repeat."""
+        utterance = "a table in montreal"
+        assert neural_saccs.dialog.recognizer.parse(utterance).route == "objective"
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            first = runtime.search_utterance(utterance)
+            second = runtime.search_utterance(utterance)
+        assert first.cached is False and first.batch_size >= 1
+        assert second.cached is True
+        assert second.results == first.results
+        assert list(first.results) == neural_saccs.answer(utterance)
+
+    def test_each_search_is_counted_once(self, neural_saccs):
+        utterance = "find me a place with a romantic ambiance"
+        assert neural_saccs.dialog.recognizer.parse(utterance).route == "subjective"
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            runtime.search_utterance(utterance)
+            second = runtime.search_utterance(utterance)
+            counters = runtime.metrics_snapshot()["counters"]
+        assert second.cached is True
+        assert counters.get("requests.search", 0) == 0
+        assert counters["requests.search_utterance"] == 2
+
+    def test_session_turn_extracts_through_the_engine(self, neural_saccs):
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            turn, _ = runtime.say("s1", self.UTTERANCES[0])
+            assert turn.route == "subjective"
+            assert runtime.metrics.counter("extract.sentences") == 1
 
 
 class TestTelemetryEndpoints:

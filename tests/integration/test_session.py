@@ -1,5 +1,7 @@
 """Integration tests for multi-turn conversational sessions."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core import (
     TaggerTrainer,
     TaggerTrainingConfig,
     TreePairingHeuristic,
+    Turn,
     UserProfile,
 )
 from repro.data import WorldConfig, build_tagging_dataset, build_world
@@ -102,11 +105,18 @@ class TestConversationSession:
         assert "tags:" in summary
         assert "slots:" in summary
 
-    def test_turn_log_grows(self, saccs):
+    def test_session_keeps_only_its_last_turn(self, saccs):
+        """A long-lived session holds one Turn, not a log of every turn."""
         session = ConversationSession(saccs, top_k=3)
-        session.say("a restaurant with a beautiful view")
-        session.say("and generous portions")
-        assert len(session.turns) == 2
+        utterances = ["a restaurant with a beautiful view", "and generous portions", "hello there"]
+        gc.collect()
+        before = sum(isinstance(obj, Turn) for obj in gc.get_objects())
+        for i in range(50):
+            session.say(utterances[i % len(utterances)])
+        gc.collect()
+        alive = sum(isinstance(obj, Turn) for obj in gc.get_objects()) - before
+        assert alive == 1
+        assert session.last_turn.utterance == utterances[49 % len(utterances)]
 
 
 class TestConversationStageIntegration:
@@ -207,7 +217,7 @@ class TestSessionEdgeCases:
         session = ConversationSession(saccs, top_k=3)
         turn = session.say("the price doesn't matter")
         assert turn.removed_tags == []
-        assert session.turns  # the turn is still recorded
+        assert session.last_turn is turn  # the turn is still recorded
 
     def test_retraction_marker_without_matching_aspect(self, saccs):
         session = ConversationSession(saccs, top_k=3)
@@ -222,7 +232,7 @@ class TestSessionEdgeCases:
         turn = session.say("")
         assert turn.added_tags == []
         assert turn.removed_tags == []
-        assert len(session.turns) == 1
+        assert session.last_turn is turn
 
     def test_whitespace_only_utterance_after_state(self, saccs):
         session = ConversationSession(saccs, top_k=3)

@@ -2,8 +2,9 @@
 produces the expected span tree, retrievable over the debug endpoints and
 renderable by ``repro trace``.
 
-This is the acceptance path for the observability subsystem: serve →
-extraction → index stages must appear as children of the batch span with
+This is the acceptance path for the observability subsystem: extraction
+stages must appear as children of the request's root span (extraction runs
+on the request thread) and index stages as children of the batch span, with
 consistent parent/child ids, and the span-derived stage histograms must
 surface in ``/metrics``.
 """
@@ -94,15 +95,11 @@ def traced_search(traced_server):
     return response, listing, payload
 
 
-EXPECTED_STAGES = [
-    "serve.enqueue_wait",
-    "serve.batch",
-    "extract.encode",
-    "extract.decode",
-    "extract.pair",
-    "index.lookup",
-    "rank.filter_and_rank",
-]
+#: request-thread stages (children of the root, in order), then the
+#: worker's batch and its children.
+EXTRACT_STAGES = ["extract.encode", "extract.decode", "extract.pair"]
+BATCH_STAGES = ["index.lookup", "rank.filter_and_rank"]
+EXPECTED_STAGES = EXTRACT_STAGES + ["serve.enqueue_wait", "serve.batch"] + BATCH_STAGES
 
 
 class TestSpanTree:
@@ -130,12 +127,12 @@ class TestSpanTree:
         root = first["serve.search"]
         assert root["span_id"] == 1 and root["parent_id"] is None
         assert root["attributes"]["kind"] == "utterance"
-        for name in ("serve.parse", "serve.enqueue_wait", "serve.batch"):
+        for name in ["serve.parse"] + EXTRACT_STAGES + ["serve.enqueue_wait", "serve.batch"]:
             assert first[name]["parent_id"] == root["span_id"], name
         batch = first["serve.batch"]
-        for name in EXPECTED_STAGES[2:]:
+        for name in BATCH_STAGES:
             assert first[name]["parent_id"] == batch["span_id"], name
-        # Stage order within the batch: encode → decode → pair → lookup → rank.
+        # Stage order: encode → decode → pair → queue → batch → lookup → rank.
         stage_ids = [first[name]["span_id"] for name in EXPECTED_STAGES]
         assert stage_ids == sorted(stage_ids)
         for item in spans:
@@ -155,28 +152,34 @@ class TestSpanTree:
         assert first["serve.parse"]["span_id"] < classify["span_id"]
         assert classify["span_id"] < first["serve.enqueue_wait"]["span_id"]
 
-    def test_bypassed_route_traces_without_batch_stages(self, traced_server):
-        """An objective utterance skips the queue and the encoder: after
-        conv.classify it only ranks its API list through the facade."""
+    def test_bypassed_route_traces_without_extract_stages(self, traced_server):
+        """An objective utterance skips the encoder: after conv.classify it
+        takes the queue and ranks its API list in a worker's batch."""
         server, runtime = traced_server
-        _post(f"{server.url}/search", {"utterance": "a table in montreal"})
+        # top_k keeps the query off any earlier ranking-cache entry: a
+        # zero-tag subjective turn over the same API list shares its key.
+        _post(f"{server.url}/search", {"utterance": "a table in montreal", "top_k": 4})
         listing = _get(f"{server.url}/debug/traces")
         bypassed = None
         for summary in listing["recent"]:
             if summary["name"] != "serve.search":
                 continue
             payload = _get(f"{server.url}/debug/trace/{summary['trace_id']}")
-            names = [item["name"] for item in payload["trace"]["spans"]]
-            if "conv.classify" in names and "serve.batch" not in names:
+            routes = [
+                item["attributes"].get("route")
+                for item in payload["trace"]["spans"]
+                if item["name"] == "conv.classify"
+            ]
+            if routes == ["objective"]:
                 bypassed = payload
                 break
         assert bypassed is not None, "bypassed search did not leave a trace"
         names = [item["name"] for item in bypassed["trace"]["spans"]]
         assert "serve.parse" in names
-        for stage in EXPECTED_STAGES:
-            if stage.startswith(("serve.", "extract.")):
-                assert stage not in names
-        assert "rank.filter_and_rank" in names
+        for stage in EXTRACT_STAGES:
+            assert stage not in names
+        for stage in ["serve.enqueue_wait", "serve.batch"] + BATCH_STAGES:
+            assert stage in names
         assert runtime.metrics_snapshot()["counters"]["conv.route.objective"] >= 1
 
     def test_tree_endpoint_nests_children_under_the_root(self, traced_search):
@@ -185,9 +188,10 @@ class TestSpanTree:
         assert tree["name"] == "serve.search"
         children = {child["name"] for child in tree["children"]}
         assert {"serve.parse", "serve.enqueue_wait", "serve.batch"} <= children
+        assert set(EXTRACT_STAGES) <= children
         batch = next(c for c in tree["children"] if c["name"] == "serve.batch")
         grandchildren = {child["name"] for child in batch["children"]}
-        assert set(EXPECTED_STAGES[2:]) <= grandchildren
+        assert set(BATCH_STAGES) <= grandchildren
 
     def test_metrics_fold_span_derived_stage_histograms(self, traced_search, traced_server):
         server, _ = traced_server
@@ -229,7 +233,8 @@ class TestTraceCli:
         assert cli_main(["trace", "--input", str(saved), "--collapsed"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("serve.search ")
-        assert any(line.startswith("serve.search;serve.batch;extract.encode ") for line in lines)
+        assert any(line.startswith("serve.search;extract.encode ") for line in lines)
+        assert any(line.startswith("serve.search;serve.batch;index.lookup ") for line in lines)
         for line in lines:
             stack, value = line.rsplit(" ", 1)
             assert stack and int(value) >= 0

@@ -109,8 +109,6 @@ class TestExport:
         with pytest.raises(ValueError):
             tagger.inference_model("bfloat16")
         with pytest.raises(ValueError):
-            SequenceTagger(encoder, np.random.default_rng(0), encoder_precision="fp8")
-        with pytest.raises(ValueError):
             ExtractionEngineConfig(encoder_precision="fp8")
 
 

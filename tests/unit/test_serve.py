@@ -237,17 +237,13 @@ class TestServingCache:
         assert cache.ranking_for(("t",), 10, 1) is None
         assert cache.ranking_for(("t",), 5, 1) == "five"
 
-    def test_utterance_normalisation(self):
+    def test_sweep_drops_older_generations(self):
         cache = ServingCache(16)
-        cache.put_tags("Delicious   Food", 1, "tags")
-        assert cache.tags_for("delicious food", 1) == "tags"
-
-    def test_invalidate_before_sweeps_both_levels(self):
-        cache = ServingCache(16)
-        cache.put_tags("hello", 1, "t")
         cache.put_ranking(("a",), None, 1, "r")
-        assert cache.invalidate_before(2) == 2
-        assert cache.tags_for("hello", 1) is None
+        cache.put_ranking(("b",), None, 2, "s")
+        assert cache.sweep(2) == 1
+        assert len(cache.rankings) == 1
+        assert cache.ranking_for(("b",), None, 2) == "s"
 
 
 class TestSessionStore:
