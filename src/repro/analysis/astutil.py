@@ -41,9 +41,7 @@ _LOCK_FACTORIES = frozenset(
         # repro.utils.locks factory names — lock-discipline rules must keep
         # recognising locks created through the witness-aware factories.
         "make_lock",
-        "make_rlock",
         "TrackedLock",
-        "TrackedRLock",
     }
 )
 

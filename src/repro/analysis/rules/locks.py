@@ -254,7 +254,7 @@ class LockFactory(Rule):
     family = "lock-discipline"
     summary = "raw threading lock; create via repro.utils.locks factories"
     rationale = (
-        "Locks created through make_lock()/make_rlock() carry a stable "
+        "Locks created through make_lock() carry a stable "
         "order name, which is what lets the REPRO_LOCK_WITNESS runtime "
         "witness identify them and check them against CANONICAL_ORDER.  "
         "A raw threading.Lock() is invisible to it."

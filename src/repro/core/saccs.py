@@ -37,11 +37,6 @@ from repro.text.similarity import ConceptualSimilarity
 
 __all__ = ["SaccsConfig", "Saccs", "IndexingRound", "PreparedIndex"]
 
-#: ``rank(api_ids, tag_sets) -> [(entity_id, score), ...]`` — Algorithm 1
-#: lines 11–12 over one request's API ids and per-tag entity sets.
-Ranker = Callable[[Sequence[str], List[Dict[str, float]]], List[Tuple[str, float]]]
-
-
 @dataclass(frozen=True)
 class IndexingRound:
     """Outcome of one :meth:`Saccs.run_indexing_round`.
@@ -372,21 +367,21 @@ class Saccs:
         self,
         tag_lists: Sequence[Sequence[SubjectiveTag]],
         api_entity_ids: Optional[Sequence[Optional[Sequence[str]]]] = None,
-        rank: Optional[Ranker] = None,
     ) -> List[List[Tuple[str, float]]]:
         """Algorithm 1 for many requests: lookup, one shared fold, rank.
 
         ``api_entity_ids`` holds one objective API restriction per request
         (``None`` — or an entry of ``None`` — ranks over every entity).
-        ``rank(api_ids, tag_sets)`` replaces
+        Every request is ranked by
         :func:`~repro.core.filtering.filter_and_rank` under the configured
-        filter settings (sessions pass their own depth or a profile-weighted
-        ranker).  Bit-identical to one call per request, in order, but
-        unknown tags across the whole batch are resolved with a single
-        batched ``lookup_similar`` pass (duplicates deduplicated) — the
-        entry point `repro.serve`'s micro-batching scheduler drains
-        concurrent requests into.  An empty tag list ranks its API list in
-        API order (no subjective signal).
+        filter settings, to ``SaccsConfig.top_k``; callers wanting a
+        shallower depth slice the result.  Bit-identical to one call per
+        request, in order, but unknown tags across the whole batch are
+        resolved with a single batched ``lookup_similar`` pass (duplicates
+        deduplicated) — the entry point `repro.serve`'s micro-batching
+        scheduler drains concurrent ``/search`` and session requests into.
+        An empty tag list ranks its API list in API order (no subjective
+        signal).
         """
         if api_entity_ids is None:
             api_entity_ids = [None] * len(tag_lists)
@@ -398,10 +393,7 @@ class Saccs:
             for tag_sets, api_ids in zip(per_request, api_entity_ids):
                 if api_ids is None:
                     api_ids = catalog
-                if rank is None:
-                    ranked.append(filter_and_rank(api_ids, tag_sets, config))
-                else:
-                    ranked.append(rank(api_ids, tag_sets))
+                ranked.append(filter_and_rank(api_ids, tag_sets, config))
             return ranked
 
     def answer_tags(

@@ -5,7 +5,7 @@ is rarely one-shot: users refine ("make it quick service too"), retract
 ("price doesn't matter actually") and re-anchor ("what about in lyon?")
 across turns.  :class:`ConversationSession` keeps the evolving query state —
 objective slots plus the accumulated subjective tags — and re-ranks after
-every turn, optionally through a :class:`~repro.core.profiles.UserProfile`.
+every turn.
 
 Ahead of extraction each turn runs through a
 :class:`~repro.conversation.stage.ConversationStage` (on by default): the
@@ -22,13 +22,11 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conversation.classify import ROUTE_CHITCHAT, ROUTE_SUBJECTIVE
 from repro.conversation.stage import ConversationStage
 from repro.core.extractor import TagExtractor
-from repro.core.filtering import filter_and_rank
-from repro.core.profiles import UserProfile, personalized_rank
 from repro.core.saccs import Saccs
 from repro.core.tags import SubjectiveTag
 from repro.text.tokenize import word_tokenize
@@ -70,22 +68,20 @@ class Turn:
 
 
 class ConversationSession:
-    """Stateful refinement loop around a built :class:`Saccs` instance."""
+    """Stateful refinement loop around a built :class:`Saccs` instance.
 
-    def __init__(
-        self,
-        saccs: Saccs,
-        profile: Optional[UserProfile] = None,
-        dimension_of=None,
-        top_k: int = 10,
-        stage=_DEFAULT_STAGE,
-    ):
+    A turn's understanding (reset, retraction, the conversation stage and
+    extraction) runs here; its ranking is one ``answer(tags, api_ids)``
+    call.  By default that is one :meth:`Saccs.answer_many` call cut to
+    ``top_k``; the serving runtime passes its ranking cache and worker
+    queue instead.  Either way ``top_k`` is a post-slice of the facade's
+    ``SaccsConfig.top_k`` ranking, so a depth above that ranks no deeper.
+    """
+
+    def __init__(self, saccs: Saccs, top_k: int = 10, stage=_DEFAULT_STAGE):
         if not isinstance(saccs.extractor, TagExtractor):
             raise TypeError("ConversationSession needs a neural TagExtractor (utterances have no gold labels)")
         self.saccs = saccs
-        self.profile = profile
-        #: maps a tag to its dimension name for profile weighting (optional).
-        self.dimension_of = dimension_of or (lambda tag: None)
         self.top_k = top_k
         if stage is _DEFAULT_STAGE:
             stage = ConversationStage(lexicon=saccs.similarity.lexicon)
@@ -132,8 +128,19 @@ class ConversationSession:
                     break
         return removed
 
-    def say(self, utterance: str) -> Turn:
-        """Process one user turn and return it (with fresh results)."""
+    def say(
+        self,
+        utterance: str,
+        answer: Optional[
+            Callable[[Tuple[SubjectiveTag, ...], Tuple[str, ...]], List[Tuple[str, float]]]
+        ] = None,
+    ) -> Turn:
+        """Process one user turn and return it (with fresh results).
+
+        ``answer(tags, api_ids)`` ranks the turn's accumulated tags over its
+        slot-filtered API ids to the session's depth; ``None`` ranks through
+        :meth:`Saccs.answer_many`.
+        """
         lowered = utterance.lower()
         if any(marker in lowered for marker in _RESET_MARKERS):
             self.reset()
@@ -178,12 +185,11 @@ class ConversationSession:
                 if tag not in self.active_tags:
                     self.active_tags.append(tag)
                     added.append(tag)
-        if self.profile is not None and added:
-            self.profile.record_query(added, self.dimension_of)
         if self.stage is not None and added:
             self.stage.observe_tags(added)
 
-        results = self._rank()
+        api_ids = tuple(e.entity_id for e in self.saccs.dialog.api.search(self.slots))
+        results = (answer or self._answer)(tuple(self.active_tags), api_ids)
         if self.stage is not None:
             self.stage.observe_results(results)
         turn = Turn(
@@ -195,21 +201,11 @@ class ConversationSession:
 
     # --------------------------------------------------------------- ranking
 
-    def _rank(self) -> List[Tuple[str, float]]:
+    def _answer(
+        self, tags: Tuple[SubjectiveTag, ...], api_ids: Tuple[str, ...]
+    ) -> List[Tuple[str, float]]:
         """Algorithm 1 over the accumulated state: one facade call per turn."""
-        api_ids = [e.entity_id for e in self.saccs.dialog.api.search(self.slots)]
-        if self.profile is not None:
-            dimensions = [self.dimension_of(tag) for tag in self.active_tags]
-
-            def rank(ids, tag_sets):
-                return personalized_rank(tag_sets, dimensions, self.profile, ids, top_k=self.top_k)
-        else:
-            config = self.saccs.config.filter_config()
-            config.top_k = self.top_k
-
-            def rank(ids, tag_sets):
-                return filter_and_rank(ids, tag_sets, config)
-        return self.saccs.answer_many([self.active_tags], [api_ids], rank=rank)[0]
+        return self.saccs.answer_many([tags], [api_ids])[0][: self.top_k]
 
     # ------------------------------------------------------------- inspection
 

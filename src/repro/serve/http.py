@@ -37,7 +37,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.serve.protocol import (
     ProtocolError,
     SayRequest,
-    SayResponse,
     SearchRequest,
     error_payload,
 )
@@ -304,14 +303,7 @@ def make_handler(runtime: SaccsRuntime):
 
         def _handle_say(self, session_id: str) -> Tuple[int, dict]:
             request = SayRequest.parse(self._read_json())
-            turn, summary = runtime.say(session_id, request.utterance)
-            response = SayResponse(
-                session_id=session_id,
-                turn=turn,
-                state_summary=summary,
-                generation=runtime.generation,
-            )
-            return 200, response.to_payload()
+            return 200, runtime.say(session_id, request.utterance).to_payload()
 
     return Handler
 

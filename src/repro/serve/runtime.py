@@ -1,14 +1,18 @@
 """The serving runtime: request queue → worker pool → cache → facade.
 
 :class:`SaccsRuntime` owns one :class:`~repro.core.saccs.Saccs` facade and
-turns it into a concurrent service.  Every ``/search`` takes one path:
+turns it into a concurrent service.  Every read — a ``/search`` or a
+session turn — takes one path:
 
 1. The request thread turns the request into a tag query.  ``search()``
    has one already; ``search_utterance()`` parses the utterance once
    (:meth:`Saccs.understand`) and, on a subjective turn, extracts its tags
    through the extraction engine outside the facade lock (the engine's
    tagger lock serialises the tagger, as it does for background
-   rebuilds).  Objective and chitchat turns carry no tags.
+   rebuilds).  Objective and chitchat turns carry no tags.  ``say()``
+   runs the session's turn (conversation stage, extraction) the same way,
+   under only its session's lock, and hands the session's accumulated
+   tags and slot-filtered API ids on.
 2. The ranking cache (generation-stamped; a reindex invalidates
    deterministically) answers a repeated query; otherwise the query is
    enqueued.
@@ -25,13 +29,15 @@ turns it into a concurrent service.  Every ``/search`` takes one path:
    resolved.
 
 The runtime never runs Algorithm 1 itself, and :meth:`Saccs.answer_many`
-is its only entry on the read path.
+is its only entry on the read path.  A response's ``generation`` is the
+one its ranking was computed (or cached) under.
 
 Equivalence guarantee: because the similarity kernel evaluates small blocks
 row-stationary and :meth:`answer_many` keeps per-request semantics,
 rankings served through the batched pipeline are **byte-identical** to
-sequential :meth:`Saccs.answer_tags` / :meth:`Saccs.answer` calls on every
-route — the integration tests assert this with concurrent clients.
+sequential :meth:`Saccs.answer_tags` / :meth:`Saccs.answer` /
+:meth:`ConversationSession.say` calls on every route — the integration
+tests assert this with concurrent clients.
 
 The facade lock serialises index access (the facade mutates shared state:
 user tag history, lazy matrices, vocabulary).  Micro-batching is what makes
@@ -62,9 +68,9 @@ from repro.obs.timeseries import MetricsCollector, TimeSeriesStore
 from repro.obs.tracing import NullTracer, Tracer
 from repro.serve.cache import ServingCache
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.protocol import ProtocolError, ReindexResponse, SearchResponse
+from repro.serve.protocol import ProtocolError, ReindexResponse, SayResponse, SearchResponse
 from repro.serve.sessions import SessionStore
-from repro.utils.locks import make_lock, make_rlock
+from repro.utils.locks import make_lock
 
 __all__ = ["ServeConfig", "SaccsRuntime"]
 
@@ -92,7 +98,8 @@ class ServeConfig:
     #: idle session time-to-live.
     session_ttl_seconds: float = 1800.0
     max_sessions: int = 4096
-    #: per-session ranking depth (mirrors ConversationSession's default).
+    #: per-session ranking depth: a post-slice of the facade's ranking, so
+    #: it is capped by ``SaccsConfig.top_k``.
     session_top_k: int = 10
     #: how long ``search`` waits for its batch before giving up.
     request_timeout_seconds: float = 30.0
@@ -191,7 +198,7 @@ class SaccsRuntime:
         #: serialises every facade touch (index matrices and tag history
         #: are shared and not thread-safe).  Extraction needs no facade
         #: lock: the extraction engine serialises its own tagger.
-        self._facade_lock = make_rlock("serve.runtime.facade")
+        self._facade_lock = make_lock("serve.runtime.facade")
         #: serialises start/stop: concurrent callers must not double-spawn
         #: or double-drain the scheduler threads.
         self._lifecycle_lock = make_lock("serve.runtime.lifecycle")
@@ -300,15 +307,7 @@ class SaccsRuntime:
         (tags, API ids) query takes the same cache → queue → worker path as
         :meth:`search`.  Objective and chitchat turns take it with no tags.
         """
-        if not isinstance(self.saccs.extractor, TagExtractor):
-            raise ProtocolError(
-                "utterance search needs a neural TagExtractor; this runtime "
-                "was started with the oracle extractor — query with 'tags'",
-                status=501,
-                code="utterances_unavailable",
-            )
-        if not self._running:
-            raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
+        self._require_extractor("utterance searches", "utterances_unavailable")
         self.metrics.incr("requests.search_utterance")
         with self.metrics.time("latency.search_seconds"):
             with self.tracer.trace("serve.search", kind="utterance"):
@@ -331,6 +330,23 @@ class SaccsRuntime:
                             )[0]
                         )
                 return self._answer(tags, api_ids, top_k)
+
+    def _require_extractor(self, what: str, code: str) -> None:
+        """The up-front checks of both utterance routes.
+
+        A 501 ``code`` unless this runtime can extract tags from free text
+        (checked before anything is built for the request), then a
+        ``RuntimeError`` unless the runtime is started.
+        """
+        if not isinstance(self.saccs.extractor, TagExtractor):
+            raise ProtocolError(
+                f"{what} need a neural TagExtractor; this runtime was started "
+                "with the oracle extractor, which only answers 'tags' searches",
+                status=501,
+                code=code,
+            )
+        if not self._running:
+            raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
 
     def _answer(
         self,
@@ -377,33 +393,38 @@ class SaccsRuntime:
     # --------------------------------------------------------------- sessions
 
     def _new_session(self) -> ConversationSession:
-        try:
-            # Sessions share the runtime's metrics registry so per-turn
-            # routing and coref decisions land on /metrics as conv.* series.
-            stage = ConversationStage(
-                tables=self._conversation_tables, metrics=self.metrics
-            )
-            return ConversationSession(
-                self.saccs, top_k=self.config.session_top_k, stage=stage
-            )
-        except TypeError as exc:
-            raise ProtocolError(
-                "sessions need a neural TagExtractor; this runtime was "
-                "started with the oracle extractor",
-                status=501,
-                code="sessions_unavailable",
-            ) from exc
+        # Sessions share the runtime's metrics registry so per-turn routing
+        # and coref decisions land on /metrics as conv.* series.
+        stage = ConversationStage(tables=self._conversation_tables, metrics=self.metrics)
+        return ConversationSession(self.saccs, top_k=self.config.session_top_k, stage=stage)
 
-    def say(self, session_id: str, utterance: str):
-        """One conversational turn against the session's accumulated state."""
+    def say(self, session_id: str, utterance: str) -> SayResponse:
+        """One conversational turn against the session's accumulated state.
+
+        The turn runs under its session's lock only; its ranking takes the
+        same cache → queue → worker path as :meth:`search`, so the response
+        carries the generation that ranking was computed under.
+        """
+        self._require_extractor("sessions", "sessions_unavailable")
         self.metrics.incr("requests.say")
+        ranked: List[SearchResponse] = []
+
+        def answer(tags, api_ids):
+            ranked.append(self._answer(tags, api_ids, self.config.session_top_k))
+            return list(ranked[-1].results)
+
         with self.metrics.time("latency.say_seconds"):
             with self.tracer.trace("serve.say", session=session_id):
                 with self.sessions.checkout(session_id) as session:
-                    with self._facade_lock:
-                        turn = session.say(utterance)
+                    turn = session.say(utterance, answer=answer)
                     summary = session.state_summary()
-        return turn, summary
+        return SayResponse(
+            session_id=session_id,
+            turn=turn,
+            state_summary=summary,
+            # A reset turn ranks nothing; it reports the live generation.
+            generation=ranked[-1].generation if ranked else self.generation,
+        )
 
     # ------------------------------------------------------------------ admin
 
@@ -518,7 +539,6 @@ class SaccsRuntime:
         return {
             "status": "ok" if self._running else "stopped",
             "generation": self.generation,
-            "index_generation": self.generation,
             "index_tags": len(self.saccs.index),
             "shards": self.shards,
             # sha256 of the snapshot this index warm-started from (null when
@@ -535,7 +555,6 @@ class SaccsRuntime:
     def metrics_snapshot(self) -> Dict[str, object]:
         snapshot = self.metrics.snapshot()
         snapshot["generation"] = self.generation
-        snapshot["index_generation"] = self.generation
         snapshot["shards"] = self.shards
         snapshot["snapshot"] = self.snapshot_hash
         snapshot["sessions"] = len(self.sessions)

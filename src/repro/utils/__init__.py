@@ -8,9 +8,7 @@ from repro.utils.caching import ArtifactCache, default_cache, fingerprint, memoi
 from repro.utils.locks import (
     LockWitness,
     TrackedLock,
-    TrackedRLock,
     make_lock,
-    make_rlock,
     reset_witness,
     witness,
     witness_enabled,
@@ -33,7 +31,6 @@ __all__ = [
     "StageTimings",
     "Timer",
     "TrackedLock",
-    "TrackedRLock",
     "default_cache",
     "derive_rng",
     "derive_seed",
@@ -41,7 +38,6 @@ __all__ = [
     "log_softmax",
     "logsumexp",
     "make_lock",
-    "make_rlock",
     "memoize",
     "new_rng",
     "one_hot",

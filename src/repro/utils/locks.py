@@ -1,11 +1,10 @@
 """Named lock factories with an opt-in runtime lock-order witness.
 
-Every lock in ``src/`` is created through :func:`make_lock` /
-:func:`make_rlock` with a stable *order name* (enforced by the
-``lock-factory`` lint rule).  By default the factories return plain
-``threading`` primitives — a passthrough with zero steady-state overhead.
-When ``REPRO_LOCK_WITNESS=1`` is set at creation time they instead return
-:class:`TrackedLock` / :class:`TrackedRLock` wrappers that report every
+Every lock in ``src/`` is created through :func:`make_lock` with a stable
+*order name* (enforced by the ``lock-factory`` lint rule).  By default the
+factory returns a plain ``threading.Lock`` — a passthrough with zero
+steady-state overhead.  When ``REPRO_LOCK_WITNESS=1`` is set at creation
+time it instead returns a :class:`TrackedLock` wrapper that reports every
 acquisition to a process-wide :class:`LockWitness`.
 
 The witness keeps, per thread, the stack of held lock names and, globally,
@@ -47,9 +46,7 @@ __all__ = [
     "LockWitness",
     "OrderInversion",
     "TrackedLock",
-    "TrackedRLock",
     "make_lock",
-    "make_rlock",
     "reset_witness",
     "witness",
     "witness_enabled",
@@ -59,7 +56,7 @@ ENV_FLAG = "REPRO_LOCK_WITNESS"
 
 #: The repo's lock hierarchy, outermost first — maintained by hand and
 #: checked by the witness-enabled stress test, which also asserts that every
-#: ``make_lock``/``make_rlock`` name in ``src/`` is listed here.  Acquiring a
+#: ``make_lock`` name in ``src/`` is listed here.  Acquiring a
 #: lock listed *earlier* than one already held is an inversion even before a
 #: conflicting dynamic observation exists.
 CANONICAL_ORDER: Tuple[str, ...] = (
@@ -258,45 +255,6 @@ class TrackedLock:
         return f"TrackedLock({self.name!r})"
 
 
-class TrackedRLock:
-    """``threading.RLock`` wrapper; only outermost acquire/release reported."""
-
-    def __init__(self, name: str, order_witness: Optional[LockWitness] = None):
-        self.name = name
-        self.order_witness = order_witness if order_witness is not None else witness()
-        self.inner = threading.RLock()
-        self.depth = threading.local()
-
-    def _depth(self) -> int:
-        return getattr(self.depth, "value", 0)
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self.inner.acquire(blocking, timeout)
-        if acquired:
-            value = self._depth() + 1
-            self.depth.value = value
-            if value == 1:
-                self.order_witness.note_acquire(self.name, _call_site())
-        return acquired
-
-    def release(self) -> None:
-        value = self._depth() - 1
-        self.depth.value = value
-        if value == 0:
-            self.order_witness.note_release(self.name)
-        self.inner.release()
-
-    def __enter__(self) -> "TrackedRLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        return f"TrackedRLock({self.name!r})"
-
-
 _WITNESS_LOCK = threading.Lock()
 _WITNESS: Optional[LockWitness] = None
 
@@ -333,9 +291,3 @@ def make_lock(name: str) -> Union[threading.Lock, TrackedLock]:
         return TrackedLock(name)
     return threading.Lock()
 
-
-def make_rlock(name: str) -> Union[threading.RLock, TrackedRLock]:
-    """Reentrant variant of :func:`make_lock` (same naming contract)."""
-    if witness_enabled():
-        return TrackedRLock(name)
-    return threading.RLock()

@@ -35,6 +35,7 @@ from repro.conversation import KIND_ASPECT
 from repro.data import WorldConfig, build_tagging_dataset, build_world
 from repro.serve import SaccsHttpServer, SaccsRuntime, ServeConfig
 from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.protocol import SayResponse
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
 
@@ -583,9 +584,124 @@ class TestSessionsOverHttp:
 
     def test_session_turn_extracts_through_the_engine(self, neural_saccs):
         with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
-            turn, _ = runtime.say("s1", self.UTTERANCES[0])
+            turn = runtime.say("s1", self.UTTERANCES[0]).turn
             assert turn.route == "subjective"
             assert runtime.metrics.counter("extract.sentences") == 1
+
+    def test_session_turn_does_not_wait_for_the_facade_lock(self, neural_saccs):
+        """A subjective turn is understood and extracted while another
+        thread holds the facade lock; it ranks once the lock frees."""
+        utterance = self.UTTERANCES[0]
+        oracle = ConversationSession(neural_saccs, top_k=ServeConfig().session_top_k)
+        expected = oracle.say(utterance)
+        assert expected.route == "subjective"
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            responses = []
+            turn = threading.Thread(
+                target=lambda: responses.append(runtime.say("s1", utterance))
+            )
+            runtime._facade_lock.acquire()
+            try:
+                turn.start()
+                deadline = time.monotonic() + 5.0
+                while (
+                    runtime.metrics.counter("extract.sentences") < 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                extracted = runtime.metrics.counter("extract.sentences")
+            finally:
+                runtime._facade_lock.release()
+            turn.join(timeout=30.0)
+        assert extracted == 1
+        assert [response.turn.results for response in responses] == [expected.results]
+        assert responses[0].state_summary == oracle.state_summary()
+
+    def test_sessions_share_the_ranking_cache(self, neural_saccs):
+        """Two sessions asking the same query at one generation rank once."""
+        utterance = "a table in montreal"
+        assert neural_saccs.dialog.recognizer.parse(utterance).route == "objective"
+        with SaccsRuntime(neural_saccs, ServeConfig(cache_size=64)) as runtime:
+            first = runtime.say("a", utterance)
+            assert runtime.metrics.counter("cache.ranking.hit") == 0
+            second = runtime.say("b", utterance)
+            assert runtime.metrics.counter("cache.ranking.hit") == 1
+        assert first.generation == second.generation
+        assert second.turn.results == first.turn.results
+
+    TRANSCRIPTS = [
+        UTTERANCES,
+        ["a place in lyon with really quick service", "it should be quiet", "thanks, goodbye"],
+        ["somewhere with really delicious food", "and a friendly staff", "a table for two in montreal"],
+        ["I want a restaurant in montreal with delicious food", "start over", "a restaurant with a beautiful view"],
+    ]
+
+    def test_concurrent_sessions_match_their_sequential_oracles(self, neural_saccs):
+        """Sessions served concurrently (their rankings free to share worker
+        batches) answer exactly as one sequential session per transcript."""
+        runtime = SaccsRuntime(neural_saccs, ServeConfig(cache_size=64))
+        served = {}
+        failures = []
+        start = threading.Barrier(len(self.TRANSCRIPTS))
+
+        def client(name, transcript):
+            try:
+                start.wait(timeout=10.0)
+                served[name] = [
+                    _post(f"{server.url}/session/{name}/say", {"utterance": utterance})
+                    for utterance in transcript
+                ]
+            except BaseException as exc:  # noqa: BLE001 - reraised below
+                failures.append(exc)
+
+        with SaccsHttpServer(runtime) as server:
+            clients = [
+                threading.Thread(target=client, args=(f"c{i}", transcript))
+                for i, transcript in enumerate(self.TRANSCRIPTS)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+        assert failures == []
+        for i, transcript in enumerate(self.TRANSCRIPTS):
+            name = f"c{i}"
+            oracle = ConversationSession(neural_saccs, top_k=runtime.config.session_top_k)
+            expected = []
+            for utterance in transcript:
+                turn = oracle.say(utterance)
+                expected.append(
+                    SayResponse(
+                        session_id=name,
+                        turn=turn,
+                        state_summary=oracle.state_summary(),
+                        generation=neural_saccs.index_generation,
+                    ).to_payload()
+                )
+            assert served[name] == json.loads(json.dumps(expected)), name
+
+    def test_say_is_stamped_with_the_generation_it_ranked_under(self, neural_saccs):
+        """A reindex landing after a turn's ranking must not relabel it.
+
+        Runs last in the class: the reindex folds the tag history into the
+        shared index.
+        """
+        runtime = SaccsRuntime(neural_saccs, ServeConfig(cache_size=64))
+        with SaccsHttpServer(runtime) as server:
+            before = runtime.generation
+            with runtime.sessions.checkout("erin") as session:
+                summarise = session.state_summary
+
+                def reindex_then_summarise():
+                    runtime.reindex()
+                    return summarise()
+
+                session.state_summary = reindex_then_summarise
+            served = _post(
+                f"{server.url}/session/erin/say", {"utterance": self.UTTERANCES[0]}
+            )
+        assert runtime.generation == before + 1
+        assert served["generation"] == before
 
 
 class TestTelemetryEndpoints:

@@ -19,7 +19,6 @@ from repro.core import (
     TaggerTrainingConfig,
     TreePairingHeuristic,
     Turn,
-    UserProfile,
 )
 from repro.data import WorldConfig, build_tagging_dataset, build_world
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
@@ -86,17 +85,6 @@ class TestConversationSession:
         session.say("start over")
         assert session.active_tags == []
         assert session.slots == {}
-
-    def test_profile_updates_on_queries(self, saccs):
-        profile = UserProfile("u1")
-        session = ConversationSession(
-            saccs, profile=profile,
-            dimension_of=lambda tag: "delicious food" if tag.aspect in ("food", "dishes") else None,
-            top_k=5,
-        )
-        session.say("a restaurant with really delicious food")
-        if any(t.aspect in ("food", "dishes") for t in session.active_tags):
-            assert profile.weight_of("delicious food") > 1.0
 
     def test_state_summary_renders(self, saccs):
         session = ConversationSession(saccs, top_k=3)

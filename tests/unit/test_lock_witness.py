@@ -22,9 +22,7 @@ from repro.utils.locks import (
     LockOrderError,
     LockWitness,
     TrackedLock,
-    TrackedRLock,
     make_lock,
-    make_rlock,
     reset_witness,
     witness_enabled,
 )
@@ -127,16 +125,6 @@ def test_same_order_class_is_not_checked():
 # -------------------------------------------------------------- lock wrappers
 
 
-def test_rlock_reports_only_the_outermost_acquisition():
-    w = LockWitness()
-    r = TrackedRLock("rho", w)
-    with r:
-        with r:
-            assert w.held_names() == ["rho"]
-    assert w.acquisitions == 1
-    assert w.held_names() == []
-
-
 def test_out_of_order_release_keeps_the_stack_consistent():
     w = LockWitness()
     a = TrackedLock("alpha", w)
@@ -169,7 +157,6 @@ def test_factories_are_passthrough_without_the_env_flag(monkeypatch):
     monkeypatch.delenv(ENV_FLAG, raising=False)
     assert not witness_enabled()
     assert not isinstance(make_lock("x"), TrackedLock)
-    assert not isinstance(make_rlock("x"), TrackedRLock)
     monkeypatch.setenv(ENV_FLAG, "0")
     assert not witness_enabled()
 
@@ -180,9 +167,7 @@ def test_factories_return_tracked_locks_when_enabled(monkeypatch):
     try:
         assert witness_enabled()
         lock = make_lock("serve.cache")
-        rlock = make_rlock("serve.runtime.facade")
         assert isinstance(lock, TrackedLock) and lock.name == "serve.cache"
-        assert isinstance(rlock, TrackedRLock)
     finally:
         monkeypatch.delenv(ENV_FLAG)
         reset_witness()
@@ -192,7 +177,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _factory_calls():
-    """(path, line, first argument) of every make_lock/make_rlock call in src/."""
+    """(path, line, first argument) of every make_lock call in src/."""
     calls = []
     for dirpath, _, filenames in os.walk(SRC):
         for filename in sorted(filenames):
@@ -205,7 +190,7 @@ def _factory_calls():
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
-                    and node.func.id in ("make_lock", "make_rlock")
+                    and node.func.id == "make_lock"
                 ):
                     first = node.args[0] if node.args else None
                     calls.append((os.path.relpath(path, SRC), node.lineno, first))
@@ -363,8 +348,9 @@ def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
         assert w.acquisitions > 200
         unseen = set(CANONICAL_ORDER) - IMPORT_TIME_LOCKS - w.names
         assert unseen == set(), sorted(unseen)
-        # A session turn holds its entry lock while it takes the facade.
-        assert ("serve.sessions.entry", "serve.runtime.facade") in w.order_graph()
+        # A session turn ranks through the worker queue, so it never takes
+        # the facade lock while it holds its entry lock.
+        assert ("serve.sessions.entry", "serve.runtime.facade") not in w.order_graph()
     finally:
         monkeypatch.delenv(ENV_FLAG)
         reset_witness()

@@ -740,11 +740,11 @@ class _BlockingStubSaccs(_AnswerableStubSaccs):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def answer_many(self, tag_lists, api_entity_ids=None, rank=None):
+    def answer_many(self, tag_lists, api_entity_ids=None):
         if not self.entered.is_set():
             self.entered.set()
             assert self.release.wait(10.0)
-        return Saccs.answer_many(self, tag_lists, api_entity_ids, rank)
+        return Saccs.answer_many(self, tag_lists, api_entity_ids)
 
 
 class TestBatcher:
