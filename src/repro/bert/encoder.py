@@ -10,6 +10,7 @@ from repro.bert.config import MiniBertConfig
 from repro.bert.model import BatchEncoding, MiniBert
 from repro.bert.tokenizer import WordPieceTokenizer
 from repro.nn.tensor import Tensor
+from repro.utils.locks import make_lock
 
 __all__ = ["BertWordEncoder"]
 
@@ -29,6 +30,10 @@ class BertWordEncoder:
     def __init__(self, tokenizer: WordPieceTokenizer, model: MiniBert):
         self.tokenizer = tokenizer
         self.model = model
+        #: held from the capturing forward until its maps are read: the
+        #: maps live on the shared model, so a concurrent caller's forward
+        #: would otherwise replace them in between.
+        self._attention_lock = make_lock("bert.encoder.attention")
 
     @property
     def dim(self) -> int:
@@ -74,9 +79,10 @@ class BertWordEncoder:
         """Word-level attention maps for one sentence: ``(L, H, T, T)``."""
         from repro.nn.tensor import no_grad
 
-        with no_grad():
-            self.encode([list(tokens)], capture_attention=True)
-        maps = self.model.attention_maps()
+        with self._attention_lock:
+            with no_grad():
+                self.encode([list(tokens)], capture_attention=True)
+            maps = self.model.attention_maps()
         steps = len(tokens)
         return np.stack([m[0, :, :steps, :steps] for m in maps], axis=0)
 

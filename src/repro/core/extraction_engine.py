@@ -5,11 +5,15 @@ every review paid one BERT forward (padded to its own longest sentence) and
 one Python Viterbi loop per sentence.  This module restructures the whole
 extraction pass around the corpus instead of the review:
 
-1. **Flatten + bucket** — all sentences across all entities/reviews are
-   flattened into one stream and stably sorted by token length; consecutive
-   runs of up to ``batch_sentences`` sentences form *length buckets*, so
-   each encoder forward is a large batch padded only to its bucket's max
-   length (near-zero padding waste) instead of many tiny ragged batches.
+1. **Flatten + dedupe + bucket** — all sentences across all
+   entities/reviews are flattened into one stream, and each distinct token
+   sequence is kept once (review corpora repeat short sentences: 1,451
+   distinct of 1,815 in the end-to-end benchmark's corpus); the distinct
+   sentences are stably sorted by token length, and consecutive runs of up
+   to ``batch_sentences`` form *length buckets*, so each encoder forward is
+   a large batch padded only to its bucket's max length (near-zero padding
+   waste) instead of many tiny ragged batches.  Every repeat of a sentence
+   gets the tags of its one tagged and paired copy.
 2. **Batch decode** — each bucket's emissions go through the vectorized
    batch Viterbi (:meth:`repro.nn.crf.LinearChainCRF.decode_batch`): one
    ``(B, T, L)`` max-plus recurrence instead of a per-sentence Python loop.
@@ -279,21 +283,28 @@ class ExtractionEngine:
         miss_slots: Sequence[int],
         results: List[Optional[List[SubjectiveTag]]],
     ) -> None:
-        """Bucketed tagging + pairing for the cache-missing reviews."""
-        sentences: List[List[str]] = []
+        """Bucketed tagging + pairing for the cache-missing reviews.
+
+        Tagging and pairing are pure functions of a sentence's tokens, so
+        each distinct token tuple is tagged and paired once, and its tags
+        are shared by every review sentence that repeats it.
+        """
+        sentences: List[Tuple[str, ...]] = []
         owner: List[int] = []
         for slot in miss_slots:
             for sentence in reviews[slot].sentences:
-                sentences.append(list(sentence.tokens))
+                sentences.append(tuple(sentence.tokens))
                 owner.append(slot)
-        labels = self._tag_sentences(sentences)
-        per_sentence = self._pair_sentences(sentences, labels)
+        distinct = list(dict.fromkeys(sentences))
+        labels = self._tag_sentences(distinct)
+        tags_of = dict(zip(distinct, self._pair_sentences(distinct, labels)))
         # Reassemble per review: sentence order is preserved (owner runs are
         # contiguous), dedup keeps the first occurrence — the exact
         # semantics of ``TagExtractor.extract_review``.
         assembled: Dict[int, List[SubjectiveTag]] = {slot: [] for slot in miss_slots}
         seen: Dict[int, Set[SubjectiveTag]] = {slot: set() for slot in miss_slots}
-        for slot, tags in zip(owner, per_sentence):
+        for slot, sentence in zip(owner, sentences):
+            tags = tags_of[sentence]
             bucket_seen = seen[slot]
             bucket_tags = assembled[slot]
             for tag in tags:

@@ -21,6 +21,7 @@ import numpy as np
 from repro.bert.encoder import BertWordEncoder
 from repro.data.schema import Span
 from repro.text.parser import ChunkParser
+from repro.text.tree import ParseNode
 
 __all__ = ["PairingHeuristic", "TreePairingHeuristic", "AttentionPairingHeuristic", "WordDistanceHeuristic"]
 
@@ -79,15 +80,17 @@ class TreePairingHeuristic(PairingHeuristic):
         self.direction = direction
         self.name = f"tree_{'as' if direction == 'aspects' else 'op'}"
 
-    def _span_distance(self, tree, span_a: Span, span_b: Span) -> float:
+    @staticmethod
+    def _span_distance(paths, span_a: Span, span_b: Span) -> int:
         # Distance between the head tokens (last token of each span: the
         # noun of an NP, the adjective of an ADJP).
-        return tree.leaf_distance(span_a[1] - 1, span_b[1] - 1)
+        return ParseNode.path_distance(paths[span_a[1] - 1], paths[span_b[1] - 1])
 
     def pairs(self, tokens, aspect_spans, opinion_spans):
         if not aspect_spans or not opinion_spans:
             return set()
-        tree = self.parser.parse(list(tokens))
+        # One tree walk per sentence, not one per candidate pair.
+        paths = self.parser.parse(list(tokens)).leaf_paths()
         out: Set[Pair] = set()
         sources, targets = (
             (aspect_spans, opinion_spans) if self.direction == "aspects" else (opinion_spans, aspect_spans)
@@ -96,7 +99,7 @@ class TreePairingHeuristic(PairingHeuristic):
             best = min(
                 targets,
                 key=lambda t: (
-                    self._span_distance(tree, source, t),
+                    self._span_distance(paths, source, t),
                     abs(_span_center(t) - _span_center(source)),
                     t,
                 ),

@@ -24,10 +24,10 @@ of that is waste — the encode stage dominates bucketed ingest (see the
   are **bitwise identical** to ``SequenceTagger.emissions`` — the
   oracle-pairing discipline of ``LinearChainCRF.decode_scalar`` applied
   to the encoder: the slow path stays as the reference, and
-  :func:`equivalence_report` measures float32 against it.  float32 is
-  tolerance-bounded, not bitwise, so it may additionally take
-  single-pass formulations of sigmoid/gelu that the bitwise contract
-  forbids the float64 path.
+  :func:`equivalence_report` measures float32 against it.  Both
+  precisions run one GELU (the cube as ``x * x * x``, the formula of
+  ``Tensor.gelu``).  float32 is tolerance-bounded, not bitwise, so only
+  its sigmoid takes a single-pass form that the float64 path may not.
 * **Memoised word pooling** — duplicate words across a batch (piece-id
   rows that hash equal) are pooled from piece embeddings once and
   scattered to every occurrence.
@@ -138,11 +138,10 @@ def _sigmoid(x: np.ndarray, exact: bool = True) -> np.ndarray:
     ``exact=True`` is :func:`repro.utils.numerics.sigmoid` itself, so the
     float64 path reproduces the training forward bitwise.  ``exact=False``
     (the float32 path, which is tolerance-bounded rather than bitwise) uses
-    the single-pass ``1/(1+exp(-x))`` form: for very negative ``x`` the exp
-    overflows to ``inf`` and the quotient lands on exactly ``0.0`` — the
-    right limit — so only the overflow *warning* needs silencing, and the
-    fancy-indexed sign split (two partial passes plus mask allocations)
-    disappears.
+    the single-pass ``1/(1+exp(-x))`` form in the input dtype: for very
+    negative ``x`` the exp overflows to ``inf`` and the quotient lands on
+    exactly ``0.0`` — the right limit — so only the overflow *warning*
+    needs silencing.
     """
     if exact:
         return sigmoid(x)
@@ -154,28 +153,24 @@ def _sigmoid(x: np.ndarray, exact: bool = True) -> np.ndarray:
     return out
 
 
-def _gelu(x: np.ndarray, exact: bool = True) -> np.ndarray:
+def _gelu(x: np.ndarray) -> np.ndarray:
     """GELU (tanh approximation), forward only — no local-gradient term.
 
-    ``exact=True`` replays ``Tensor.gelu``'s forward ops (including its
-    ``x**3`` via ``np.power``, which rounds differently from repeated
-    multiplication) so the float64 path stays bitwise.  ``exact=False``
-    builds the cube as ``x*x*x`` — np.power with an array operand takes the
-    generic pow kernel, orders of magnitude slower than two multiplies — at
-    a rounding difference far inside the reduced float32 tolerance.
+    Replays ``Tensor.gelu``'s forward ops in place, in the input dtype:
+    ``c * (x + k * (x * x * x))`` with the cube built left to right, so the
+    float64 path is bitwise equal to the tape.  The only reorderings are
+    commuted operands and a moved scaling by 0.5, which is exact unless a
+    product is subnormal.
     """
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
     half = x.dtype.type(0.5)
     one = x.dtype.type(1.0)
     k = x.dtype.type(0.044715)
-    if exact:
-        inner = c * (x + k * x**3)
-    else:
-        inner = x * x
-        inner *= x
-        inner *= k
-        inner += x
-        inner *= c
+    inner = x * x
+    inner *= x
+    inner *= k
+    inner += x
+    inner *= c
     np.tanh(inner, out=inner)
     inner += one
     inner *= x
@@ -199,8 +194,7 @@ class InferenceModel:
         self.precision = _check_precision(precision)
         self.dtype = np.dtype(np.float64 if precision == "float64" else np.float32)
         #: float64 replays the tape forward op-for-op (bitwise oracle
-        #: pairing); float32 may take faster, tolerance-bounded
-        #: formulations of sigmoid/gelu.
+        #: pairing); float32 may take a faster, tolerance-bounded sigmoid.
         self.exact_ops = precision == "float64"
         # architecture geometry (filled by from_tagger)
         self.dim = 0
@@ -446,7 +440,7 @@ class InferenceModel:
             # --- feed-forward -------------------------------------------
             ffn_hidden = np.matmul(hidden, layer.w_ffn_in.T)
             ffn_hidden += layer.b_ffn_in
-            ffn_hidden = _gelu(ffn_hidden, exact=self.exact_ops)
+            ffn_hidden = _gelu(ffn_hidden)
             ffn_out = np.matmul(ffn_hidden, layer.w_ffn_out.T)
             ffn_out += layer.b_ffn_out
             hidden += ffn_out

@@ -289,10 +289,16 @@ class Tensor:
         return self._unary(self.data * mask, lambda g: g * mask, "relu")
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
+        """Gaussian error linear unit (tanh approximation).
+
+        The cube is ``x * x * x``: ``x**3`` takes numpy's generic pow
+        kernel, which is far slower than two multiplies (DESIGN.md §13),
+        and the fused forward (``repro.nn.infer``) replays this exact
+        product to stay bitwise equal.
+        """
         c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out = 0.5 * x * (1.0 + t)
         d_inner = c * (1.0 + 3 * 0.044715 * x**2)

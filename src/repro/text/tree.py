@@ -47,8 +47,12 @@ class ParseNode:
             out.extend(child.leaves())
         return out
 
-    def _paths_to_leaves(self) -> Dict[int, Tuple[int, ...]]:
-        """Map token_index -> path of child positions from the root."""
+    def leaf_paths(self) -> Dict[int, Tuple[int, ...]]:
+        """Map token_index -> path of child positions from the root.
+
+        One walk of the tree.  A caller measuring many leaf pairs takes the
+        paths once and compares them with :meth:`path_distance`.
+        """
         paths: Dict[int, Tuple[int, ...]] = {}
 
         def walk(node: "ParseNode", path: Tuple[int, ...]) -> None:
@@ -66,8 +70,12 @@ class ParseNode:
 
         Raises :class:`KeyError` if either token index is not a leaf.
         """
-        paths = self._paths_to_leaves()
-        path_a, path_b = paths[index_a], paths[index_b]
+        paths = self.leaf_paths()
+        return self.path_distance(paths[index_a], paths[index_b])
+
+    @staticmethod
+    def path_distance(path_a: Tuple[int, ...], path_b: Tuple[int, ...]) -> int:
+        """Tree edges between the ends of two root paths from :meth:`leaf_paths`."""
         common = 0
         for step_a, step_b in zip(path_a, path_b):
             if step_a != step_b:

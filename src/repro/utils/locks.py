@@ -66,6 +66,9 @@ CANONICAL_ORDER: Tuple[str, ...] = (
     "serve.runtime.reindex",
     "serve.runtime.facade",
     "core.extract.tagger",
+    # Taken by the attention pairing heuristic while pairing, which runs
+    # after tagging and outside the tagger lock.
+    "bert.encoder.attention",
     "core.extract.cache",
     "serve.cache",
     # The collector holds its sampling lock across metrics.collect(), the

@@ -32,13 +32,17 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Stable logistic sigmoid, float64 out.
+
+    ``e = exp(-|x|)`` never overflows; ``1/(1+e)`` for ``x >= 0`` and
+    ``e/(1+e)`` otherwise are the two stable halves, picked per element
+    without boolean indexing.  ``minimum(x, -x)`` is ``-|x|`` but keeps a
+    NaN's sign bit, so the result is bitwise equal to computing each half
+    on its own partition of ``x``.
+    """
+    e = np.exp(np.minimum(x, -x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom).astype(np.float64, copy=False)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

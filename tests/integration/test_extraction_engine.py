@@ -27,7 +27,8 @@ from repro.core import (
     TreePairingHeuristic,
 )
 from repro.data import WorldConfig, build_tagging_dataset, build_world
-from repro.serve import SaccsRuntime, ServeConfig
+from repro.data.schema import Review
+from repro.serve import MetricsRegistry, SaccsRuntime, ServeConfig
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
 
@@ -90,6 +91,29 @@ class TestEngineEquivalence:
         assert bucketed.index._entity_tags == sequential._entity_tags
         for tag in tags:
             assert bucketed.index.lookup(tag) == sequential.lookup(tag)
+
+    def test_repeated_sentences_are_tagged_once(self, extractor, flat_reviews):
+        base = flat_reviews[:6]
+        echoed = base[0].sentences[0]
+        reviews = list(base) + [
+            # Whole reviews repeated under new ids ...
+            Review(review_id=f"{r.review_id}-copy", entity_id=r.entity_id,
+                   sentences=list(r.sentences))
+            for r in base[:3]
+        ] + [
+            # ... and one sentence repeated inside and across reviews.
+            Review(review_id="echo", entity_id=base[1].entity_id,
+                   sentences=[echoed, *base[1].sentences, echoed]),
+        ]
+        metrics = MetricsRegistry()
+        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=4),
+                                  metrics=metrics)
+        assert engine.extract_reviews(reviews) == [
+            extractor.extract_review(review) for review in reviews
+        ]
+        distinct = {tuple(s.tokens) for review in reviews for s in review.sentences}
+        total = sum(len(review.sentences) for review in reviews)
+        assert metrics.counter("extract.sentences") == len(distinct) < total
 
     def test_utterance_batch_matches_single_extract(self, extractor):
         engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=3))

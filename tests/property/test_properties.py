@@ -10,7 +10,7 @@ from repro.nn.crf import LinearChainCRF
 from repro.nn.tensor import Tensor
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 from repro.text.labels import LABELS, labels_to_spans, spans_to_labels
-from repro.utils.numerics import logsumexp, softmax
+from repro.utils.numerics import logsumexp, sigmoid, softmax
 from repro.weak import ABSTAIN, MajorityVoteModel
 
 # ---------------------------------------------------------------------------
@@ -43,9 +43,54 @@ def test_logsumexp_shift_invariance(values, shift):
     assert np.isclose(logsumexp(arr + shift, axis=0), logsumexp(arr, axis=0) + shift, atol=1e-8)
 
 
+def _two_branch_sigmoid(x):
+    """The boolean-indexed form ``sigmoid`` replaced: each half on its own partition."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-310, 709.8, -709.8, 745.2, -745.2]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=24))
+def test_sigmoid_is_bitwise_the_two_branch_form_on_float64(values):
+    x = np.array(values + _SIGMOID_EDGES, dtype=np.float64)
+    got = sigmoid(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), _two_branch_sigmoid(x).view(np.uint64))
+
+
+@given(st.lists(st.floats(width=32, allow_nan=True, allow_infinity=True), max_size=24))
+def test_sigmoid_is_bitwise_the_two_branch_form_on_float32(values):
+    edges = np.array(_SIGMOID_EDGES[:8] + [1e-45, -1e-45, 88.7, -88.7, 104.0, -104.0],
+                     dtype=np.float32)
+    x = np.concatenate([np.array(values, dtype=np.float32), edges])
+    got = sigmoid(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), _two_branch_sigmoid(x).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # autodiff
 # ---------------------------------------------------------------------------
+
+
+def _gelu_with_power(x):
+    """``Tensor.gelu``'s forward with the cube as ``np.power``."""
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
+
+
+@given(st.lists(st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1,
+                max_size=24))
+def test_gelu_cube_by_multiplication_tracks_the_power_form(values):
+    x = np.array(values)
+    assert np.max(np.abs(Tensor(x).gelu().data - _gelu_with_power(x))) <= 1e-12
 
 
 @given(

@@ -1,5 +1,8 @@
 """Unit tests for the miniature BERT: tokenizer, model, MLM, pipeline."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,47 @@ class TestMiniBert:
         maps = encoder.attention(["the", "food", "is", "delicious"])
         assert maps.shape == (2, 4, 4, 4)
         np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_concurrent_attention_calls_get_their_own_maps(self, tokenizer):
+        # The maps live on the shared model between the capturing forward
+        # and the read; two callers must not see each other's.
+        config = MiniBertConfig(vocab_size=200, dim=32, num_layers=2, num_heads=4,
+                                ffn_dim=64, dropout=0.0)
+        model = MiniBert(config, np.random.default_rng(1))
+        model.eval()
+        encoder = BertWordEncoder(tokenizer, model)
+        sentences = [
+            "the food is delicious".split(),
+            "the staff is friendly and helpful and the service was quick".split(),
+        ]
+        expected = [encoder.attention(sentence) for sentence in sentences]
+        failures = []
+
+        def worker(sentence, want):
+            try:
+                for _ in range(40):
+                    got = encoder.attention(sentence)
+                    if got.shape != want.shape or not np.array_equal(got, want):
+                        failures.append((len(sentence), got.shape))
+                        return
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=pair, daemon=True)
+            for pair in zip(sentences, expected)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
     def test_config_head_divisibility(self):
         with pytest.raises(ValueError):

@@ -241,7 +241,13 @@ def _build_runtime():
     import numpy as np
 
     from repro.bert import PretrainPlan, pretrained_encoder
-    from repro.core import HeuristicPairer, SequenceTagger, TagExtractor, TreePairingHeuristic
+    from repro.core import (
+        AttentionPairingHeuristic,
+        HeuristicPairer,
+        SequenceTagger,
+        TagExtractor,
+        TreePairingHeuristic,
+    )
     from repro.core.saccs import Saccs, SaccsConfig
     from repro.core.tags import SubjectiveTag
     from repro.data import WorldConfig, build_world
@@ -257,8 +263,13 @@ def _build_runtime():
     tagger = SequenceTagger(encoder, np.random.default_rng(0))
     tagger.eval()
     parser = ChunkParser(PosLexicon(restaurant_lexicon()))
+    # The attention heuristic pairs through the encoder's attention lock.
     extractor = TagExtractor(
-        tagger, HeuristicPairer([TreePairingHeuristic(parser, direction="opinions")])
+        tagger,
+        HeuristicPairer([
+            TreePairingHeuristic(parser, direction="opinions"),
+            AttentionPairingHeuristic(encoder, layer=0, head=0),
+        ]),
     )
     saccs = Saccs(
         world.entities,
