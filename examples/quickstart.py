@@ -47,8 +47,8 @@ def main() -> None:
     print(f"\nUnknown tag {unknown.text!r} answered via similar index tags:")
     for entity_id, score in results[:3]:
         print(f"  {name_of[entity_id]:<22} score={score:.3f}")
-    added = saccs.run_indexing_round()
-    print(f"Indexing round adopted: {[t.text for t in added]}")
+    round_ = saccs.run_indexing_round()
+    print(f"Indexing round adopted: {[t.text for t in round_.added]}")
 
 
 if __name__ == "__main__":

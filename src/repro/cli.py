@@ -154,8 +154,6 @@ def _build_serving_saccs(args: argparse.Namespace):
             )
         )
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    shards = getattr(args, "shards", 1)
-    lookup_workers = getattr(args, "lookup_workers", 0)
     saccs = Saccs(
         world.entities,
         world.reviews,
@@ -163,15 +161,13 @@ def _build_serving_saccs(args: argparse.Namespace):
         similarity,
         SaccsConfig(
             encoder_precision=getattr(args, "encoder_precision", "float64"),
-            index_shards=shards,
-            index_lookup_workers=lookup_workers,
         ),
     )
     snapshot_dir = getattr(args, "snapshot_dir", None)
     if snapshot_dir:
         started = time.perf_counter()
         try:
-            index = load_snapshot(snapshot_dir, similarity, lookup_workers=lookup_workers)
+            index = load_snapshot(snapshot_dir, similarity)
         except SnapshotError as exc:
             print(f"snapshot unusable ({exc}); cold-building the index")
         else:
@@ -233,7 +229,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = SaccsHttpServer(runtime, host=args.host, port=args.port)
     print(
         f"serving {len(saccs.index)} index tags over {len(saccs.entities)} entities "
-        f"({runtime.shards} shard{'s' if runtime.shards != 1 else ''}) at {server.url}"
+        f"at {server.url}"
     )
     print("  POST /search        POST /session/<id>/say   POST /admin/reindex")
     print("  GET  /healthz       GET  /metrics")
@@ -459,19 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--session-ttl", type=float, default=1800.0)
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="entity shards for the tag index (stable sha256 routing; "
-        "lookups stay byte-identical to 1 shard)",
-    )
-    serve.add_argument(
-        "--lookup-workers",
-        type=int,
-        default=0,
-        help="threads fanning a lookup over the shards (0 = in-line)",
-    )
-    serve.add_argument(
         "--snapshot-dir",
         help="warm-start the index from this snapshot directory; on a "
         "missing or corrupt snapshot, cold-build and write a fresh one",
@@ -525,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=100.0,
         help="latency-SLO threshold: 99%% of searches must finish within this",
     )
-    serve.set_defaults(func=_cmd_serve)
+    # No flags: the benchmark builder reads both and passes them on to
+    # SaccsConfig, which accepts only these values.
+    serve.set_defaults(func=_cmd_serve, shards=1, lookup_workers=0)
 
     trace = subparsers.add_parser(
         "trace", help="render span trees from a serving runtime's trace store"

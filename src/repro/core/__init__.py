@@ -36,7 +36,6 @@ from repro.core.heuristics import (
     WordDistanceHeuristic,
 )
 from repro.core.index import IndexEntry, SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex, shard_of
 from repro.core.snapshot import (
     SnapshotError,
     SnapshotIntegrityError,
@@ -97,7 +96,6 @@ __all__ = [
     "SimBaseline",
     "SpanF1",
     "SubjectiveTag",
-    "ShardedTagIndex",
     "SnapshotError",
     "SnapshotIntegrityError",
     "SnapshotNotFound",
@@ -120,7 +118,6 @@ __all__ = [
     "personalized_rank",
     "save_snapshot",
     "load_snapshot",
-    "shard_of",
     "select_attention_heads",
     "span_f1",
 ]

@@ -38,29 +38,16 @@ from repro.obs import tracing as obs
 from repro.text.similarity import ConceptualSimilarity, tag_pair
 from repro.text.vocab import TagVocabulary
 
-__all__ = ["IndexEntry", "SubjectiveTagIndex", "theta_from_peak"]
+__all__ = ["IndexEntry", "SubjectiveTagIndex"]
 
 #: ``similarity_block`` keeps each query row bitwise independent of its
 #: batch only up to ``_ROW_STATIONARY_MAX_ROWS`` (64) rows; lookup score
 #: rows are computed in chunks of this size so the same query tag always
-#: lands on the same bits, whatever rode along in the batch — and whatever
-#: shard layout is answering (see :mod:`repro.core.shards`).
+#: lands on the same bits, whatever rode along in the batch.
 _QUERY_ROW_CHUNK = 64
 
 #: LRU bound on cached per-query score rows.
 _QUERY_ROW_CACHE_MAX = 4096
-
-
-def theta_from_peak(theta_index: float, dynamic_margin: float, peak: float) -> float:
-    """Dynamic-mode threshold from a tag's peak review-tag similarity.
-
-    Shared between :class:`SubjectiveTagIndex` and the sharded wrapper so a
-    threshold computed from the global peak (max over shard peaks) is the
-    same float the single-shard oracle derives.
-    """
-    if peak <= 0.0:
-        return theta_index
-    return float(min(max(theta_index, peak - dynamic_margin), 0.95))
 
 
 @dataclass
@@ -113,11 +100,6 @@ class SubjectiveTagIndex:
         self.theta_mode = theta_mode
         self.dynamic_margin = dynamic_margin
         self.backend = backend
-        #: When this index is one shard of a :class:`~repro.core.shards.\
-        #: ShardedTagIndex`, degree normalisation must use the *corpus-wide*
-        #: review maximum, not the shard-local one; the wrapper keeps this in
-        #: sync.  ``None`` means "derive from my own entities" (unsharded).
-        self.shared_review_max: Optional[int] = None
         #: every distinct tag seen at registration or indexing time, interned
         #: to an integer id with kernel features resolved once.
         self.vocab = TagVocabulary(similarity)
@@ -170,17 +152,12 @@ class SubjectiveTagIndex:
         self._occ_dirty = True
         self._threshold_cache.clear()
 
-    def add_tag(self, tag: SubjectiveTag, _theta: Optional[float] = None) -> None:
-        """Add an index tag and compute its entity mappings (Eq. 1).
-
-        ``_theta`` lets the sharded wrapper pin the similarity threshold it
-        derived from the *global* corpus (dynamic mode peaks are corpus-wide
-        statistics a single shard cannot see).
-        """
+    def add_tag(self, tag: SubjectiveTag) -> None:
+        """Add an index tag and compute its entity mappings (Eq. 1)."""
         if tag in self._entries:
             return
         if self.backend == "scalar":
-            theta = self._threshold_for(tag) if _theta is None else _theta
+            theta = self._threshold_for(tag)
             mapping: Dict[str, float] = {}
             for entity_id in self._entity_tags:
                 degree = self._degree_of_truth(tag, entity_id, theta)
@@ -192,7 +169,7 @@ class SubjectiveTagIndex:
         self._ensure_matrix()
         self.vocab.intern(tag)
         row = self.vocab.similarity_rows([tag])[0]
-        theta = self._threshold_for(tag, _row=row) if _theta is None else _theta
+        theta = self._threshold_for(tag, _row=row)
         degrees = self._degrees_from_row(row, theta)
         self._entries[tag] = {
             entity_id: float(degree)
@@ -220,25 +197,8 @@ class SubjectiveTagIndex:
         cached = self._threshold_cache.get(tag)
         if cached is not None:
             return cached
-        # Generic tags see many high-similarity neighbours; push the
-        # threshold up toward (max - margin) so only close matches count.
-        theta = theta_from_peak(
-            self.theta_index, self.dynamic_margin, self.peak_similarity(tag, _row=_row)
-        )
-        self._threshold_cache[tag] = theta
-        return theta
-
-    def peak_similarity(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
-        """Max positive similarity between ``tag`` and any distinct review tag.
-
-        Returns 0.0 when the corpus is empty or nothing scores above zero.
-        The sharded wrapper takes the max of the per-shard peaks — shards
-        partition the occurrences, so that max equals the global peak.
-        """
         self._ensure_occ()
         distinct = np.unique(self._occ_ids)
-        if distinct.size == 0:
-            return 0.0
         if _row is not None:
             sims = _row[distinct]
         elif self.backend == "vectorized":
@@ -251,9 +211,14 @@ class SubjectiveTagIndex:
                 ]
             )
         positive = sims[sims > 0.0]
-        if positive.size == 0:
-            return 0.0
-        return float(positive.max())
+        theta = self.theta_index
+        if positive.size:
+            # Generic tags see many high-similarity neighbours; push the
+            # threshold up toward (max - margin) so only close matches count.
+            peak = float(positive.max())
+            theta = float(min(max(self.theta_index, peak - self.dynamic_margin), 0.95))
+        self._threshold_cache[tag] = theta
+        return theta
 
     def build(self, tags: Iterable[SubjectiveTag]) -> "SubjectiveTagIndex":
         """Add many tags (one indexing round)."""
@@ -286,9 +251,7 @@ class SubjectiveTagIndex:
         return degree
 
     def _max_reviews(self) -> int:
-        """|R| of the best-reviewed entity (corpus-wide when sharded)."""
-        if self.shared_review_max is not None:
-            return self.shared_review_max
+        """|R| of the best-reviewed entity."""
         return max(self._entity_review_counts.values(), default=1)
 
     # ------------------------------------------------------- matrix plumbing
@@ -310,7 +273,7 @@ class SubjectiveTagIndex:
         self._review_indptr = np.asarray(indptr, dtype=np.intp)
         self._review_entity = np.asarray(review_entity, dtype=np.intp)
         # Review index of each occurrence: the segment ids bincount needs for
-        # per-review reductions that do not depend on the global layout.
+        # the per-review reductions.
         self._occ_review = np.repeat(
             np.arange(len(review_entity), dtype=np.intp), np.diff(self._review_indptr)
         )
@@ -397,12 +360,8 @@ class SubjectiveTagIndex:
         """Eq. 1 for every entity at once, given a tag's vocab similarity row.
 
         Per-review reductions go through :func:`np.bincount` over the
-        occurrence→review segment ids rather than differences of global
-        prefix sums: bincount accumulates each bin independently in input
-        order, so every per-review (and hence per-entity) float is bitwise
-        identical no matter which other reviews share the arrays.  That is
-        the property that lets an entity shard reproduce the single-shard
-        oracle exactly.
+        occurrence→review segment ids; each bin accumulates independently in
+        input order.
         """
         scores = row[self._occ_ids]
         mask = scores > theta
@@ -474,7 +433,6 @@ class SubjectiveTagIndex:
         review_count_mode: str = "matched",
         theta_mode: str = "static",
         dynamic_margin: float = 0.08,
-        shared_review_max: Optional[int] = None,
     ) -> "SubjectiveTagIndex":
         """Rebuild a vectorized index from :meth:`snapshot_arrays` output.
 
@@ -491,7 +449,6 @@ class SubjectiveTagIndex:
             dynamic_margin=dynamic_margin,
             backend="vectorized",
         )
-        index.shared_review_max = None if shared_review_max is None else int(shared_review_max)
         vocab_tags = [
             SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
             for aspect, opinion in zip(
@@ -560,11 +517,6 @@ class SubjectiveTagIndex:
     def tags(self) -> List[SubjectiveTag]:
         return list(self._entries)
 
-    @property
-    def entity_order(self) -> List[str]:
-        """Registered entity ids in matrix-column order."""
-        return list(self._entity_order)
-
     def __contains__(self, tag: SubjectiveTag) -> bool:
         return tag in self._entries
 
@@ -591,9 +543,11 @@ class SubjectiveTagIndex:
     ) -> List[Dict[str, float]]:
         """:meth:`lookup_similar` for many tags with one batched kernel pass.
 
-        A multi-tag utterance issues a single call; similarity rows for tags
-        already interned in the vocabulary come straight out of the cached
-        (index_tags × vocab) matrix, the rest share one kernel block.
+        A batch of requests issues a single call; score rows come from the
+        query-row cache, and the misses share row-stationary kernel blocks
+        (:meth:`_query_rows`).  Each result is bitwise equal to a
+        :meth:`lookup_similar` call for its tag alone, so batching requests
+        never changes a score.
         """
         tags = list(tags)
         with obs.span("index.similarity", tags=len(tags), backend=self.backend):
@@ -605,7 +559,7 @@ class SubjectiveTagIndex:
             self._ensure_matrix()
             results: List[Dict[str, float]] = []
             for scores in self._query_rows(tags):
-                combined = self.combine_score_rows(scores, theta_filter)
+                combined = self._combine_score_rows(scores, theta_filter)
                 results.append(
                     {
                         entity_id: float(value)
@@ -622,9 +576,7 @@ class SubjectiveTagIndex:
         (chunked at :data:`_QUERY_ROW_CHUNK`), never from columns of the
         cached (index_tags × vocab) matrix: that matrix is built in large
         batches whose gemm low bits depend on batch shape, while these rows
-        must be bitwise reproducible however they are batched — it is what
-        makes the sharded wrapper (which computes rows the same way and
-        shares them across shards) byte-identical to this index.
+        must be bitwise reproducible however they are batched.
         """
         index_tags = list(self._entries)
         if not self._query_rows_warm:
@@ -660,19 +612,15 @@ class SubjectiveTagIndex:
             self._query_row_cache.popitem(last=False)
         return rows
 
-    def combine_score_rows(self, scores: np.ndarray, theta_filter: float) -> np.ndarray:
+    def _combine_score_rows(self, scores: np.ndarray, theta_filter: float) -> np.ndarray:
         """θ-filtered similarity-weighted sum of degree rows (Alg. 1 line 10).
 
         The accumulation visits index tags in tag order, one row at a time,
-        instead of handing a dense matvec to BLAS: each entity's sum is then
-        a fixed left-to-right reduction over the *same* tag sequence whatever
-        the entity layout, so a shard holding a subset of the entity columns
-        produces bitwise-identical degrees to the single-shard oracle.  It is
-        also faster when few tags clear ``theta_filter`` — work is
-        O(active_tags × entities), not O(index_tags × entities).
+        instead of handing a dense matvec to BLAS, so an entity's sum never
+        depends on what else shares the batch.  It is also faster when few
+        tags clear ``theta_filter`` — work is O(active_tags × entities), not
+        O(index_tags × entities).
         """
-        self._ensure_occ()
-        self._ensure_matrix()
         degree_matrix = self._degree_matrix()
         combined = np.zeros(degree_matrix.shape[1])
         for tag_pos in np.nonzero(scores > theta_filter)[0]:

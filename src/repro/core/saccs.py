@@ -29,7 +29,6 @@ from repro.core.extractor import OracleExtractor, TagExtractor
 from repro.core.fraud import FakeReviewFilter
 from repro.core.filtering import FilterConfig, filter_and_rank
 from repro.core.index import SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Entity, Review
 from repro.obs import tracing as obs
@@ -42,22 +41,11 @@ class IndexingRound:
     """Outcome of one :meth:`Saccs.run_indexing_round`.
 
     Carries the post-round :attr:`generation` (what caches key invalidation
-    on) and the tags adopted this round.  Iterates/contains like the adopted
-    tag list so existing ``tag in saccs.run_indexing_round()`` callers keep
-    working.
+    on) and the tags adopted this round.
     """
 
     generation: int
     added: Tuple[SubjectiveTag, ...]
-
-    def __iter__(self):
-        return iter(self.added)
-
-    def __contains__(self, tag: object) -> bool:
-        return tag in self.added
-
-    def __len__(self) -> int:
-        return len(self.added)
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,7 @@ class PreparedIndex:
     the only part that needs the serving lock).
     """
 
-    index: Union[SubjectiveTagIndex, ShardedTagIndex]
+    index: SubjectiveTagIndex
     tags: Tuple[SubjectiveTag, ...]
 
 
@@ -95,17 +83,17 @@ class SaccsConfig:
     #: bucketed extraction: ``"float64"`` (bitwise-identical default) or
     #: ``"float32"`` (tolerance-bounded, faster).
     encoder_precision: str = "float64"
-    #: entity shards for the tag index.  1 (default) keeps the plain
-    #: :class:`SubjectiveTagIndex`; >1 routes entities by content hash into
-    #: a :class:`~repro.core.shards.ShardedTagIndex` whose lookups are
-    #: byte-identical to the single-shard oracle.
+    #: The tag index is one unsharded index with in-line lookups, so each
+    #: of these accepts only its default.  They remain as fields because
+    #: the benchmark builder passes both by name.
     index_shards: int = 1
-    #: threads for the sharded lookup fan-out (<= 1 = in-line).
     index_lookup_workers: int = 0
 
     def __post_init__(self):
-        if self.index_shards < 1:
-            raise ValueError("index_shards must be >= 1")
+        if self.index_shards != 1:
+            raise ValueError("index_shards must be 1: the tag index is not sharded")
+        if self.index_lookup_workers != 0:
+            raise ValueError("index_lookup_workers must be 0: lookups run in-line")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -161,17 +149,8 @@ class Saccs:
 
     # ------------------------------------------------------------- ingestion
 
-    def _make_index(self) -> Union[SubjectiveTagIndex, ShardedTagIndex]:
-        """A fresh, empty index honouring the configured shard count."""
-        if self.config.index_shards > 1:
-            return ShardedTagIndex(
-                self.similarity,
-                num_shards=self.config.index_shards,
-                theta_index=self.config.theta_index,
-                review_count_mode=self.config.review_count_mode,
-                theta_mode=self.config.theta_mode,
-                lookup_workers=self.config.index_lookup_workers,
-            )
+    def _make_index(self) -> SubjectiveTagIndex:
+        """A fresh, empty index under the configured thresholds."""
         return SubjectiveTagIndex(
             self.similarity,
             theta_index=self.config.theta_index,
@@ -193,7 +172,7 @@ class Saccs:
 
     def _register_corpus(
         self,
-        index: Union[SubjectiveTagIndex, ShardedTagIndex],
+        index: SubjectiveTagIndex,
         pace: Optional[Callable[[], None]] = None,
     ) -> None:
         """Extract the current corpus and register it into ``index``.
@@ -267,11 +246,9 @@ class Saccs:
             indexed_tags = list(self.index.tags)
         fresh = self._make_index()
         self._register_corpus(fresh, pace=pace)
-        if pace is None:
-            fresh.build(indexed_tags)
-        else:
-            for tag in indexed_tags:
-                fresh.add_tag(tag)
+        for tag in indexed_tags:
+            fresh.add_tag(tag)
+            if pace is not None:
                 pace()
         return PreparedIndex(index=fresh, tags=tuple(indexed_tags))
 
@@ -287,9 +264,7 @@ class Saccs:
         self._ingested = True
         return self.run_indexing_round()
 
-    def adopt_index(
-        self, index: Union[SubjectiveTagIndex, ShardedTagIndex]
-    ) -> None:
+    def adopt_index(self, index: SubjectiveTagIndex) -> None:
         """Install a warm-started index (snapshot load) without re-extracting.
 
         Marks the corpus as ingested so a later :meth:`build_index` call

@@ -1,21 +1,22 @@
-"""Index snapshot persistence: per-shard ``.npz`` + hashed JSON manifest.
+"""Index snapshot persistence: one ``.npz`` plus a hashed JSON manifest.
 
-A snapshot is a directory holding one ``shard-NNN.npz`` per entity shard
-(the CSR occurrence arrays, vocabulary, similarity and degree-of-truth
-matrices from :meth:`SubjectiveTagIndex.snapshot_arrays`) and a
-``manifest.json`` recording the index configuration, the indexed tag list,
-and a sha256 per file — the same content-hash keying the PR-3
-``ExtractionCache`` uses for review extractions, extended to index records.
-``repro index build --out`` writes one, ``repro search --index`` reads it,
-and ``repro serve --snapshot-dir`` warm-starts from one in seconds instead
-of re-extracting the corpus.
+A snapshot is a directory holding ``index.npz`` (the CSR occurrence arrays,
+vocabulary, similarity and degree-of-truth matrices from
+:meth:`SubjectiveTagIndex.snapshot_arrays`) and a ``manifest.json``
+recording the index configuration, the indexed tag list, and the file's
+sha256 — the same content-hash keying the ``ExtractionCache`` uses for
+review extractions, extended to index records.  ``repro index build --out``
+writes one, ``repro search --index`` reads it, and ``repro serve
+--snapshot-dir`` warm-starts from one in seconds instead of re-extracting
+the corpus.
 
 Failure policy is *fail-safe, never fail-open*: every writer goes through
 temp-file + ``os.replace`` with the manifest written last, so a torn save
 leaves either the previous consistent snapshot or a hash mismatch; loads
-verify content hashes before touching ``np.load`` and raise a typed
-:class:`SnapshotError` (callers fall back to a cold build) rather than ever
-serving from a corrupt or version-skewed snapshot.
+verify content hashes before touching ``np.load``, check the type of every
+manifest field they read, and raise a typed :class:`SnapshotError` (callers
+fall back to a cold build) rather than ever serving from a corrupt or
+version-skewed snapshot.
 """
 
 from __future__ import annotations
@@ -25,18 +26,18 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
 from repro.core.index import SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex, shard_of
 from repro.core.tags import SubjectiveTag
 from repro.text.similarity import ConceptualSimilarity
 
 __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
+    "INDEX_NAME",
     "SnapshotError",
     "SnapshotNotFound",
     "SnapshotIntegrityError",
@@ -46,9 +47,13 @@ __all__ = [
 ]
 
 #: the only on-disk index format; loads refuse any other version.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
+
+INDEX_NAME = "index.npz"
+
+_NUMBER = (int, float)
 
 _REQUIRED_ARRAYS = (
     "vocab_aspects",
@@ -97,43 +102,30 @@ def _manifest_hash(manifest: Dict[str, object]) -> str:
     return _sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
-def save_snapshot(
-    index: Union[SubjectiveTagIndex, ShardedTagIndex],
-    directory: Union[str, Path],
-) -> Dict[str, object]:
+def save_snapshot(index: SubjectiveTagIndex, directory: Union[str, Path]) -> Dict[str, object]:
     """Persist ``index`` under ``directory`` and return the manifest.
 
-    Shard files land first (each via temp + ``os.replace``), the manifest —
-    whose hashes bless them — last, so a reader never sees new files blessed
+    The ``.npz`` lands first (via temp + ``os.replace``), the manifest —
+    whose hash blesses it — last, so a reader never sees a new file blessed
     by an old manifest as valid.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sharded = isinstance(index, ShardedTagIndex)
-    shards = index.shards if sharded else [index]
-    files: Dict[str, Dict[str, object]] = {}
-    for shard_id, shard in enumerate(shards):
-        arrays = shard.snapshot_arrays()
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        data = buffer.getvalue()
-        name = f"shard-{shard_id:03d}.npz"
-        _write_atomic(directory / name, data)
-        files[name] = {"sha256": _sha256(data), "bytes": len(data)}
+    buffer = io.BytesIO()
+    np.savez(buffer, **index.snapshot_arrays())
+    data = buffer.getvalue()
+    _write_atomic(directory / INDEX_NAME, data)
     manifest: Dict[str, object] = {
         "format_version": FORMAT_VERSION,
-        "kind": "sharded" if sharded else "single",
-        "num_shards": len(shards),
         "config": {
             "theta_index": index.theta_index,
-            "normalize_degrees": shards[0].normalize_degrees,
+            "normalize_degrees": index.normalize_degrees,
             "review_count_mode": index.review_count_mode,
             "theta_mode": index.theta_mode,
-            "dynamic_margin": shards[0].dynamic_margin,
+            "dynamic_margin": index.dynamic_margin,
         },
-        "shared_review_max": shards[0].shared_review_max if sharded else None,
         "index_tags": [[tag.aspect, tag.opinion] for tag in index.tags],
-        "files": files,
+        "files": {INDEX_NAME: {"sha256": _sha256(data), "bytes": len(data)}},
     }
     manifest["snapshot_sha256"] = _manifest_hash(manifest)
     _write_atomic(
@@ -143,29 +135,46 @@ def save_snapshot(
     return manifest
 
 
-def _load_shard_arrays(directory: Path, name: str, expected_sha: str) -> Dict[str, np.ndarray]:
-    path = directory / name
+def _field(container: Dict[str, Any], key: str, kind) -> Any:
+    """``container[key]`` when it is a ``kind``, else a typed integrity error.
+
+    A re-blessed manifest passes the hash check whatever it holds, so every
+    field the loader reads is checked here rather than left to raise an
+    untyped error further in.
+    """
+    value = container.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise SnapshotIntegrityError(f"manifest field {key!r} is malformed: {value!r}")
+    return value
+
+
+def _index_tag(pair: Any) -> SubjectiveTag:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)):
+        raise SnapshotIntegrityError(f"manifest index tag is malformed: {pair!r}")
+    return SubjectiveTag(aspect=pair[0], opinion=pair[1])
+
+
+def _load_arrays(directory: Path, expected_sha: str) -> Dict[str, np.ndarray]:
+    path = directory / INDEX_NAME
     if not path.exists():
-        raise SnapshotIntegrityError(f"snapshot file missing: {name}")
+        raise SnapshotIntegrityError(f"snapshot file missing: {INDEX_NAME}")
     data = path.read_bytes()
     if _sha256(data) != expected_sha:
-        raise SnapshotIntegrityError(f"content hash mismatch for {name}")
+        raise SnapshotIntegrityError(f"content hash mismatch for {INDEX_NAME}")
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
     except Exception as exc:
-        raise SnapshotIntegrityError(f"unreadable snapshot file {name}: {exc}") from exc
+        raise SnapshotIntegrityError(f"unreadable snapshot file {INDEX_NAME}: {exc}") from exc
     missing = [key for key in _REQUIRED_ARRAYS if key not in arrays]
     if missing:
-        raise SnapshotIntegrityError(f"snapshot file {name} lacks arrays: {missing}")
+        raise SnapshotIntegrityError(f"snapshot file {INDEX_NAME} lacks arrays: {missing}")
     return arrays
 
 
 def load_snapshot(
-    directory: Union[str, Path],
-    similarity: ConceptualSimilarity,
-    lookup_workers: int = 0,
-) -> Union[SubjectiveTagIndex, ShardedTagIndex]:
+    directory: Union[str, Path], similarity: ConceptualSimilarity
+) -> SubjectiveTagIndex:
     """Rebuild the index persisted under ``directory``.
 
     Raises a :class:`SnapshotError` subclass on any inconsistency; callers
@@ -179,6 +188,8 @@ def load_snapshot(
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise SnapshotIntegrityError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SnapshotIntegrityError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise SnapshotVersionError(
@@ -186,68 +197,22 @@ def load_snapshot(
         )
     if _manifest_hash(manifest) != manifest.get("snapshot_sha256"):
         raise SnapshotIntegrityError("manifest hash mismatch (torn or edited snapshot)")
-    config = manifest.get("config") or {}
-    files = manifest.get("files") or {}
-    num_shards = int(manifest.get("num_shards", 0))
-    if num_shards < 1 or len(files) != num_shards:
-        raise SnapshotIntegrityError(
-            f"manifest names {len(files)} files for {num_shards} shards"
+    config = _field(manifest, "config", dict)
+    meta = _field(_field(manifest, "files", dict), INDEX_NAME, dict)
+    arrays = _load_arrays(directory, _field(meta, "sha256", str))
+    try:
+        expected_tags = [_index_tag(pair) for pair in _field(manifest, "index_tags", list)]
+        index = SubjectiveTagIndex.from_snapshot_arrays(
+            similarity,
+            arrays,
+            theta_index=float(_field(config, "theta_index", _NUMBER)),
+            normalize_degrees=_field(config, "normalize_degrees", bool),
+            review_count_mode=_field(config, "review_count_mode", str),
+            theta_mode=_field(config, "theta_mode", str),
+            dynamic_margin=float(_field(config, "dynamic_margin", _NUMBER)),
         )
-    expected_tags = [
-        SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
-        for aspect, opinion in manifest.get("index_tags", [])
-    ]
-    shared_review_max = manifest.get("shared_review_max")
-    kwargs = {
-        "theta_index": float(config.get("theta_index", 0.70)),
-        "normalize_degrees": bool(config.get("normalize_degrees", True)),
-        "review_count_mode": str(config.get("review_count_mode", "matched")),
-        "theta_mode": str(config.get("theta_mode", "static")),
-        "dynamic_margin": float(config.get("dynamic_margin", 0.08)),
-    }
-    shards: List[SubjectiveTagIndex] = []
-    for name in sorted(files):
-        meta = files[name]
-        arrays = _load_shard_arrays(directory, name, str(meta.get("sha256")))
-        try:
-            shard = SubjectiveTagIndex.from_snapshot_arrays(
-                similarity,
-                arrays,
-                shared_review_max=shared_review_max,
-                **kwargs,
-            )
-        except ValueError as exc:
-            raise SnapshotIntegrityError(f"inconsistent arrays in {name}: {exc}") from exc
-        if shard.tags != expected_tags:
-            raise SnapshotIntegrityError(
-                f"{name} indexes a different tag list than the manifest"
-            )
-        shards.append(shard)
-    if manifest.get("kind") == "single":
-        if len(shards) != 1:
-            raise SnapshotIntegrityError("single-index snapshot with multiple shards")
-        single = shards[0]
-        single.shared_review_max = None
-        return single
-    for shard_id, shard in enumerate(shards):
-        for entity_id in shard.entity_order:
-            if shard_of(entity_id, num_shards) != shard_id:
-                raise SnapshotIntegrityError(
-                    f"entity {entity_id!r} stored in shard {shard_id} but routes "
-                    f"to shard {shard_of(entity_id, num_shards)}"
-                )
-    wrapper = ShardedTagIndex(
-        similarity,
-        num_shards=num_shards,
-        lookup_workers=lookup_workers,
-        **kwargs,
-    )
-    wrapper.shards = shards
-    wrapper._tag_order = {tag: position for position, tag in enumerate(expected_tags)}
-    wrapper._entity_review_counts = {
-        entity_id: count
-        for shard in shards
-        for entity_id, count in shard._entity_review_counts.items()
-    }
-    wrapper._max_reviews = max(wrapper._entity_review_counts.values(), default=0)
-    return wrapper
+    except (ValueError, TypeError, IndexError) as exc:
+        raise SnapshotIntegrityError(f"inconsistent snapshot: {exc}") from exc
+    if index.tags != expected_tags:
+        raise SnapshotIntegrityError(f"{INDEX_NAME} indexes a different tag list than the manifest")
+    return index

@@ -82,7 +82,6 @@ def render_dashboard(
         lines.append(
             f"saccs  status={health.get('status', '?')}  "
             f"generation={health.get('generation', '?')}  "
-            f"shards={health.get('shards', '?')}  "
             f"index_tags={health.get('index_tags', '?')}  "
             f"sessions={health.get('sessions', '?')}  "
             f"queue={health.get('queue_depth', '?')}"

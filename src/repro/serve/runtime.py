@@ -78,6 +78,11 @@ _STOP = object()
 
 _LOG = get_logger("repro.serve.runtime")
 
+#: sleep between background-rebuild work units (entities, index tags).  Each
+#: sleep releases the GIL, so racing searches run between units instead of
+#: stalling for a full interpreter switch interval.
+_REBUILD_PACE_SECONDS = 0.0005
+
 
 @dataclass
 class ServeConfig:
@@ -103,11 +108,6 @@ class ServeConfig:
     session_top_k: int = 10
     #: how long ``search`` waits for its batch before giving up.
     request_timeout_seconds: float = 30.0
-    #: sleep between background-rebuild work units (entities, index tags).
-    #: Each sleep releases the GIL, so racing searches run between units
-    #: instead of stalling for a full interpreter switch interval; 0
-    #: disables pacing and lets the rebuild run flat out.
-    rebuild_pace_seconds: float = 0.0005
     #: background metrics collector (continuous telemetry for /debug/timeseries,
     #: SLO burn rates and `repro top`); False leaves /metrics point-in-time only.
     collector_enabled: bool = True
@@ -123,8 +123,6 @@ class ServeConfig:
             raise ValueError("workers must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if self.rebuild_pace_seconds < 0:
-            raise ValueError("rebuild_pace_seconds must be >= 0")
         if self.collector_interval_seconds <= 0:
             raise ValueError("collector_interval_seconds must be > 0")
         if self.collector_retention < 1:
@@ -486,23 +484,21 @@ class SaccsRuntime:
 
         1. under the facade lock, snapshot the indexed tag list;
         2. **without** the facade lock, extract the corpus and build the
-           replacement shards (:meth:`Saccs.prepare_rebuild`) — searches
+           replacement index (:meth:`Saccs.prepare_rebuild`) — searches
            keep draining against the live buffer the whole time;
         3. under the facade lock, swap the index pointer, fold the user
            tags that accumulated during the build, bump the generation
            (:meth:`Saccs.commit_rebuild`) — a pointer assignment plus a
            few tag adds, so the p99 of racing searches stays bounded.
 
-        Searches can never observe a half-built shard: the replacement is
+        Searches can never observe a half-built index: the replacement is
         unreachable until the swap, and the swap happens under the same
         lock every worker reads the index and generation under.
 
         Step 2 is *paced*: a short sleep between work units hands the GIL
         to serving threads, trading rebuild wall time for search tail
-        latency (``ServeConfig.rebuild_pace_seconds``).
+        latency (:data:`_REBUILD_PACE_SECONDS`).
         """
-        pace_seconds = self.config.rebuild_pace_seconds
-        pace = (lambda: time.sleep(pace_seconds)) if pace_seconds > 0 else None
         with self._reindex_lock:
             with self._facade_lock:
                 indexed_tags = list(self.saccs.index.tags)
@@ -512,7 +508,7 @@ class SaccsRuntime:
                 # takes it, so the long prepare stalls only other admins while
                 # the facade lock (which searches do take) stays free.
                 prepared = self.saccs.prepare_rebuild(
-                    indexed_tags=indexed_tags, pace=pace
+                    indexed_tags=indexed_tags, pace=lambda: time.sleep(_REBUILD_PACE_SECONDS)
                 )
             with self._facade_lock:
                 round_ = self.saccs.commit_rebuild(prepared)
@@ -530,17 +526,11 @@ class SaccsRuntime:
             load_seconds=round(load_seconds, 3),
         )
 
-    @property
-    def shards(self) -> int:
-        """Entity shard count of the live index (1 for the plain index)."""
-        return getattr(self.saccs.index, "num_shards", 1)
-
     def health(self) -> Dict[str, object]:
         return {
             "status": "ok" if self._running else "stopped",
             "generation": self.generation,
             "index_tags": len(self.saccs.index),
-            "shards": self.shards,
             # sha256 of the snapshot this index warm-started from (null when
             # cold-built) — lets operators confirm which artifact is live.
             "snapshot": self.snapshot_hash,
@@ -555,7 +545,6 @@ class SaccsRuntime:
     def metrics_snapshot(self) -> Dict[str, object]:
         snapshot = self.metrics.snapshot()
         snapshot["generation"] = self.generation
-        snapshot["shards"] = self.shards
         snapshot["snapshot"] = self.snapshot_hash
         snapshot["sessions"] = len(self.sessions)
         return snapshot

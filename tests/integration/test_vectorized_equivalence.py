@@ -100,6 +100,6 @@ def test_indexing_round_keeps_backends_aligned(world):
     unknown = SubjectiveTag.from_text(f"really {world.dimensions[0].name}")
     for saccs in (vectorized, scalar):
         saccs.answer_tags([unknown])
-        added = saccs.run_indexing_round()
-        assert unknown in [*added] or unknown in saccs.index
+        round_ = saccs.run_indexing_round()
+        assert unknown in round_.added or unknown in saccs.index
     _assert_mappings_equal(vectorized.index.lookup(unknown), scalar.index.lookup(unknown))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.serve import ServeConfig
+from tests.unit.test_core_snapshot import MALFORMED_FIELDS, _rewrite_as_v2, _rewrite_manifest
 
 
 class TestParser:
@@ -28,6 +29,13 @@ class TestParser:
         assert args.max_batch_size == 16
         assert args.max_wait_ms == ServeConfig().max_wait_ms == 0.0
         assert args.world is None
+
+    def test_serve_has_no_shard_flags(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.shards, args.lookup_workers) == (1, 0)
+        for flag in ("--shards", "--lookup-workers"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag, "2"])
 
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
@@ -240,7 +248,7 @@ class TestServeSnapshotWarmStart:
     def _args(self, snapdir):
         return build_parser().parse_args(
             ["serve", "--entities", "12", "--reviews", "4", "--seed", "9",
-             "--shards", "2", "--snapshot-dir", str(snapdir)]
+             "--snapshot-dir", str(snapdir)]
         )
 
     def test_cold_build_writes_then_warm_start_is_identical(self, tmp_path, capsys):
@@ -282,11 +290,12 @@ class TestServeSnapshotWarmStart:
 
     def test_corrupt_snapshot_falls_back_to_cold_build(self, tmp_path, capsys):
         from repro.cli import _build_serving_saccs
+        from repro.core.snapshot import INDEX_NAME
 
         snapdir = tmp_path / "snap"
         _build_serving_saccs(self._args(snapdir))
-        shard = snapdir / "shard-000.npz"
-        shard.write_bytes(shard.read_bytes()[:50])
+        stored = snapdir / INDEX_NAME
+        stored.write_bytes(stored.read_bytes()[:50])
         capsys.readouterr()
 
         saccs, note = _build_serving_saccs(self._args(snapdir))
@@ -298,3 +307,33 @@ class TestServeSnapshotWarmStart:
 
         _, warm_note = _build_serving_saccs(self._args(snapdir))
         assert warm_note is not None  # fresh snapshot warm-starts again
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+    def test_reblessed_malformed_manifest_falls_back_to_cold_build(
+        self, tmp_path, capsys, field
+    ):
+        from repro.cli import _build_serving_saccs
+
+        snapdir = tmp_path / "snap"
+        _build_serving_saccs(self._args(snapdir))
+        _rewrite_manifest(snapdir, MALFORMED_FIELDS[field])
+        capsys.readouterr()
+
+        saccs, note = _build_serving_saccs(self._args(snapdir))
+        out = capsys.readouterr().out
+        assert "snapshot unusable" in out and "wrote snapshot" in out
+        assert note is None and saccs.index.tags
+
+    def test_v2_snapshot_directory_is_cold_built_and_reblessed(self, tmp_path, capsys):
+        from repro.cli import _build_serving_saccs
+
+        snapdir = tmp_path / "snap"
+        _build_serving_saccs(self._args(snapdir))
+        _rewrite_as_v2(snapdir)
+        capsys.readouterr()
+
+        _, note = _build_serving_saccs(self._args(snapdir))
+        assert "format_version 2" in capsys.readouterr().out
+        assert note is None
+        _, warm_note = _build_serving_saccs(self._args(snapdir))
+        assert warm_note is not None

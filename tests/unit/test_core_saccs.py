@@ -84,8 +84,8 @@ class TestSaccs:
         saccs.user_tag_history.clear()
         tag = SubjectiveTag.from_text("mouthwatering dessert")
         saccs.answer_tags([tag])
-        added = saccs.run_indexing_round()
-        assert tag in added
+        round_ = saccs.run_indexing_round()
+        assert tag in round_.added
         assert tag in saccs.index
         assert saccs.user_tag_history == []
 
@@ -103,6 +103,14 @@ class TestSaccs:
     def test_answer_requires_neural_extractor(self, saccs):
         with pytest.raises(TypeError):
             saccs.answer("I want a restaurant with delicious food")
+
+
+class TestSaccsConfig:
+    @pytest.mark.parametrize("field", ["index_shards", "index_lookup_workers"])
+    def test_index_is_never_sharded_or_threaded(self, field):
+        SaccsConfig(**{field: getattr(SaccsConfig(), field)})
+        with pytest.raises(ValueError):
+            SaccsConfig(**{field: 2})
 
 
 class TestIndexGeneration:
@@ -123,8 +131,7 @@ class TestIndexGeneration:
         before = system.index_generation
         round_ = system.run_indexing_round()
         assert round_.generation == before + 1
-        assert len(round_) == 0
-        assert list(round_) == []
+        assert round_.added == ()
 
     def test_folding_is_idempotent(self, world, similarity):
         system = self.fresh(world, similarity)
@@ -133,12 +140,12 @@ class TestIndexGeneration:
         system.answer_tags([tag])  # same unknown tag twice in the history
         size_before = len(system.index)
         first = system.run_indexing_round()
-        assert tag in first
+        assert tag in first.added
         assert len(system.index) == size_before + 1
         # a second round (tag now known) adopts nothing and still bumps
         system.answer_tags([tag])
         second = system.run_indexing_round()
-        assert len(second) == 0
+        assert second.added == ()
         assert second.generation == first.generation + 1
         assert len(system.index) == size_before + 1
 

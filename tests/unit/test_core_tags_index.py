@@ -239,6 +239,73 @@ class TestVectorizedBackend:
             assert "late" in index.lookup(other)
 
 
+def _corpus(num_entities=30, num_index_tags=80, seed=7):
+    """Synthetic entities/reviews, an index tag list longer than the 64-row
+    row-stationary ceiling, and 30 queries (20 index tags, 10 unknown)."""
+    rng = np.random.default_rng(seed)
+    lexicon = restaurant_lexicon()
+    aspects = sorted(lexicon.aspect_surface_index())
+    opinions = sorted(op.text for op in lexicon.opinions)
+    pool = [SubjectiveTag(a, o) for a in aspects for o in opinions]
+    index_tags = [pool[i] for i in rng.choice(len(pool), size=num_index_tags, replace=False)]
+    corpus = []
+    for e in range(num_entities):
+        reviews = []
+        for _ in range(int(rng.integers(1, 5))):
+            picks = rng.choice(len(pool), size=int(rng.integers(1, 6)))
+            reviews.append([pool[i] for i in picks])
+        corpus.append((f"entity-{e:03d}", reviews))
+    queries = list(index_tags[:20])
+    queries += [SubjectiveTag(t.aspect, f"really {t.opinion}") for t in index_tags[20:30]]
+    return corpus, index_tags, queries
+
+
+def _build_from(similarity, corpus, tags, **kwargs):
+    index = SubjectiveTagIndex(similarity, **kwargs)
+    for entity_id, reviews in corpus:
+        index.register_entity(entity_id, reviews)
+    index.build(tags)
+    return index
+
+
+class TestBitwiseBatching:
+    """Exact float equality, not approx: batching requests into one
+    ``lookup_similar_batch`` call must never change a score, past the
+    64-row ceiling where layout-dependent low bits would creep in."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return _corpus()
+
+    @pytest.mark.parametrize("theta_mode", ["static", "dynamic"])
+    def test_batch_equals_one_call_per_query(self, similarity, workload, theta_mode):
+        corpus, tags, queries = workload
+        assert len(tags) > 64
+        batched = _build_from(similarity, corpus, tags, theta_mode=theta_mode)
+        singles = _build_from(similarity, corpus, tags, theta_mode=theta_mode)
+        expected = [singles.lookup_similar(query, theta_filter=0.6) for query in queries]
+        assert batched.lookup_similar_batch(queries, theta_filter=0.6) == expected
+        assert any(expected)
+
+    def test_tag_added_after_a_warm_query_matches_a_fresh_build(self, similarity, workload):
+        corpus, tags, queries = workload
+        grown = _build_from(similarity, corpus, tags[:-1])
+        grown.lookup_similar_batch(queries, theta_filter=0.6)  # warm the query-row cache
+        grown.add_tag(tags[-1])
+        fresh = _build_from(similarity, corpus, tags)
+        assert grown.lookup_similar_batch(
+            queries, theta_filter=0.6
+        ) == fresh.lookup_similar_batch(queries, theta_filter=0.6)
+        for tag in tags:
+            assert grown.lookup(tag) == fresh.lookup(tag)
+
+    def test_empty_index_returns_empty_results(self, similarity):
+        index = SubjectiveTagIndex(similarity)
+        tag = SubjectiveTag("food", "delicious")
+        assert index.lookup_similar_batch([tag], theta_filter=0.6) == [{}]
+        assert index.lookup(tag) == {}
+
+
 class TestAggregation:
     def test_mean(self):
         assert aggregate_scores([0.2, 0.4], "mean") == pytest.approx(0.3)

@@ -276,7 +276,7 @@ def _build_runtime():
         world.reviews,
         extractor,
         ConceptualSimilarity(restaurant_lexicon()),
-        SaccsConfig(index_shards=2),
+        SaccsConfig(),
     )
     dims = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
     saccs.build_index(dims)
@@ -285,7 +285,6 @@ def _build_runtime():
         max_batch_size=1,
         max_wait_ms=0.0,
         cache_size=32,
-        rebuild_pace_seconds=0.0,
         collector_interval_seconds=0.01,
     )
     return SaccsRuntime(saccs, config, tracer=Tracer(sample_every=1)), dims

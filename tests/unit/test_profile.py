@@ -222,7 +222,6 @@ class TestRenderDashboard:
         return {
             "status": "ok",
             "generation": 3,
-            "shards": 4,
             "index_tags": 18,
             "sessions": 2,
             "queue_depth": 0,

@@ -393,7 +393,6 @@ class TestServeConfig:
             {"max_batch_size": 0},
             {"workers": 0},
             {"max_wait_ms": -1.0},
-            {"rebuild_pace_seconds": -0.001},
             {"collector_interval_seconds": 0.0},
             {"collector_retention": 0},
         ],
@@ -802,7 +801,7 @@ class TestBackgroundReindex:
     """The zero-downtime rebuild protocol: atomic swap, sweep after, paced."""
 
     @staticmethod
-    def _real_runtime(shards=4, cache_size=64, pace_seconds=0.0005):
+    def _real_runtime():
         from repro.core.extractor import OracleExtractor
         from repro.core.saccs import Saccs, SaccsConfig
         from repro.core.tags import SubjectiveTag
@@ -818,7 +817,7 @@ class TestBackgroundReindex:
             world.reviews,
             OracleExtractor(),
             ConceptualSimilarity(restaurant_lexicon()),
-            SaccsConfig(index_shards=shards),
+            SaccsConfig(),
         )
         dims = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
         saccs.build_index(dims)
@@ -826,13 +825,12 @@ class TestBackgroundReindex:
             workers=2,
             max_batch_size=1,
             max_wait_ms=0.0,
-            cache_size=cache_size,
-            rebuild_pace_seconds=pace_seconds,
+            cache_size=64,
         )
         return SaccsRuntime(saccs, config), dims
 
     def test_background_reindex_bumps_generation_and_flags_response(self):
-        runtime, _ = self._real_runtime(pace_seconds=0.0)
+        runtime, _ = self._real_runtime()
         with runtime:
             start = runtime.generation
             response = runtime.reindex(background=True)
@@ -847,7 +845,7 @@ class TestBackgroundReindex:
     def test_sweep_runs_strictly_after_the_swap(self):
         """Regression: sweeping before the pointer swap leaks cache entries
         written by searches racing the gap between sweep and swap."""
-        runtime, dims = self._real_runtime(pace_seconds=0.0)
+        runtime, dims = self._real_runtime()
         events = []
         original_commit = runtime.saccs.commit_rebuild
         original_sweep = runtime.cache.sweep
@@ -920,9 +918,9 @@ class TestBackgroundReindex:
                 assert generation == after.generation
                 assert ranking == tuple(after.results)
 
-    def test_rebuild_pacing_yields_are_optional(self):
-        # pace 0 must mean "flat out": same result, no sleeps required
-        runtime, dims = self._real_runtime(pace_seconds=0.0)
+    def test_paced_rebuild_ranks_like_the_index_it_replaces(self):
+        # the sleeps between work units change timing, never the index
+        runtime, dims = self._real_runtime()
         with runtime:
             first = runtime.search([dims[0]])
             runtime.reindex(background=True)
