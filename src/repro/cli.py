@@ -102,7 +102,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     world = load_world(args.world)
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    index = load_snapshot(args.index, similarity)
+    index, _ = load_snapshot(args.index, similarity)
     saccs = Saccs(
         world.entities,
         world.reviews,
@@ -131,17 +131,10 @@ def _build_serving_saccs(args: argparse.Namespace):
     ``--snapshot-dir``, else ``None`` (cold build — which also writes a
     fresh snapshot to the directory when one was requested).
     """
-    import json
     import time
-    from pathlib import Path
 
     from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
-    from repro.core.snapshot import (
-        MANIFEST_NAME,
-        SnapshotError,
-        load_snapshot,
-        save_snapshot,
-    )
+    from repro.core.snapshot import SnapshotError, load_snapshot, save_snapshot
     from repro.data import WorldConfig, build_world, load_world
     from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -167,20 +160,17 @@ def _build_serving_saccs(args: argparse.Namespace):
     if snapshot_dir:
         started = time.perf_counter()
         try:
-            index = load_snapshot(snapshot_dir, similarity)
+            index, snapshot_sha256 = load_snapshot(snapshot_dir, similarity)
         except SnapshotError as exc:
             print(f"snapshot unusable ({exc}); cold-building the index")
         else:
             saccs.adopt_index(index)
             load_seconds = time.perf_counter() - started
-            manifest = json.loads(
-                (Path(snapshot_dir) / MANIFEST_NAME).read_text(encoding="utf-8")
-            )
             print(
                 f"warm-started {len(index)} index tags from {snapshot_dir} "
                 f"in {load_seconds:.2f}s"
             )
-            return saccs, (str(manifest.get("snapshot_sha256")), load_seconds)
+            return saccs, (snapshot_sha256, load_seconds)
     saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
     if snapshot_dir:
         manifest = save_snapshot(saccs.index, snapshot_dir)

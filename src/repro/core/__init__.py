@@ -35,7 +35,7 @@ from repro.core.heuristics import (
     TreePairingHeuristic,
     WordDistanceHeuristic,
 )
-from repro.core.index import IndexEntry, SubjectiveTagIndex
+from repro.core.index import SubjectiveTagIndex
 from repro.core.snapshot import (
     SnapshotError,
     SnapshotIntegrityError,
@@ -53,7 +53,7 @@ from repro.core.pairing import (
     instances_from_examples,
     select_attention_heads,
 )
-from repro.core.saccs import IndexingRound, PreparedIndex, Saccs, SaccsConfig
+from repro.core.saccs import IndexingRound, Saccs, SaccsConfig
 from repro.core.session import ConversationSession, Turn
 from repro.core.tagger import SequenceTagger
 from repro.core.tags import SubjectiveTag
@@ -79,7 +79,6 @@ __all__ = [
     "FraudFilterConfig",
     "HeuristicPairer",
     "IRBaseline",
-    "IndexEntry",
     "IndexingRound",
     "OracleExtractor",
     "Pairer",
@@ -88,7 +87,6 @@ __all__ = [
     "PairingInstance",
     "PairingPipeline",
     "ParsedUtterance",
-    "PreparedIndex",
     "Saccs",
     "SaccsConfig",
     "SearchApi",

@@ -22,7 +22,7 @@ extraction pass around the corpus instead of the review:
    the same code the sequential extractor runs per sentence.
 4. **Incremental re-extraction** — an LRU :class:`ExtractionCache` keyed by
    a content hash of each review's sentence tokens.  Re-ingesting after a
-   small corpus change (``Saccs.rebuild_index`` / ``/admin/reindex`` with
+   small corpus change (``Saccs.prepare_rebuild`` / ``/admin/reindex`` with
    ``full=true``) only re-tags new or edited reviews; unchanged reviews are
    served from the cache.  Hit/miss counters flow into a bound
    ``MetricsRegistry`` (``extract.cache.hit`` / ``extract.cache.miss``, so

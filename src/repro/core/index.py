@@ -12,24 +12,20 @@ statistically significant evidence).  Degrees are optionally normalised by
 ``log(max reviews + 1)`` so displayed values land in [0, 1] like Table 1;
 normalisation is a global constant and does not change any ranking.
 
-Two backends compute the same numbers:
-
-* ``"vectorized"`` (default) — review-tag occurrences are interned into a
-  :class:`~repro.text.vocab.TagVocabulary` and stored as CSR-style id
-  arrays; each ``add_tag`` is one kernel row against the vocabulary plus a
-  few segmented reductions, and ``lookup_similar`` is a masked matvec over
-  the incrementally built (index_tags × vocab) similarity matrix and the
-  dense degree matrix.
-* ``"scalar"`` — the original per-pair reference oracle, kept so tests and
-  benchmarks can assert the two agree to ≤ 1e-9 on every score.
+:class:`SubjectiveTagIndex` interns review-tag occurrences into a
+:class:`~repro.text.vocab.TagVocabulary` and stores them as CSR-style id
+arrays; each ``add_tag`` is one kernel row against the vocabulary plus a few
+segmented reductions, and ``lookup_similar`` is a θ-filtered sum of rows of
+the dense (index tags × entities) degree matrix — all Algorithm 1 reads.
+:class:`ScalarTagIndex` is the per-pair reference oracle for the same
+numbers, kept so tests can assert the two agree to ≤ 1e-9 on every score.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +34,7 @@ from repro.obs import tracing as obs
 from repro.text.similarity import ConceptualSimilarity, tag_pair
 from repro.text.vocab import TagVocabulary
 
-__all__ = ["IndexEntry", "SubjectiveTagIndex"]
+__all__ = ["ScalarTagIndex", "SubjectiveTagIndex"]
 
 #: ``similarity_block`` keeps each query row bitwise independent of its
 #: batch only up to ``_ROW_STATIONARY_MAX_ROWS`` (64) rows; lookup score
@@ -50,16 +46,13 @@ _QUERY_ROW_CHUNK = 64
 _QUERY_ROW_CACHE_MAX = 4096
 
 
-@dataclass
-class IndexEntry:
-    """One (entity, degree-of-truth) mapping under a tag."""
+class _TagIndexBase:
+    """Configuration, tag bookkeeping and the exact-tag read both indexes share.
 
-    entity_id: str
-    degree: float
-
-
-class SubjectiveTagIndex:
-    """Inverted index over subjective tags with degrees of truth."""
+    Subclasses compute Eq. 1 in ``add_tag``, answer Algorithm 1 line 10 in
+    ``lookup_similar_batch`` and give the dynamic threshold its similarities
+    in ``_review_tag_similarities(tag, row)``.
+    """
 
     def __init__(
         self,
@@ -69,7 +62,6 @@ class SubjectiveTagIndex:
         review_count_mode: str = "matched",
         theta_mode: str = "static",
         dynamic_margin: float = 0.08,
-        backend: str = "vectorized",
     ):
         if not 0.0 < theta_index < 1.0:
             raise ValueError("theta_index must lie in (0, 1)")
@@ -77,8 +69,6 @@ class SubjectiveTagIndex:
             raise ValueError("review_count_mode must be 'matched' or 'all'")
         if theta_mode not in ("static", "dynamic"):
             raise ValueError("theta_mode must be 'static' or 'dynamic'")
-        if backend not in ("vectorized", "scalar"):
-            raise ValueError("backend must be 'vectorized' or 'scalar'")
         self.similarity = similarity
         self.theta_index = theta_index
         self.normalize_degrees = normalize_degrees
@@ -99,10 +89,6 @@ class SubjectiveTagIndex:
         #: distribution, a specific tag keeps the configured floor.
         self.theta_mode = theta_mode
         self.dynamic_margin = dynamic_margin
-        self.backend = backend
-        #: every distinct tag seen at registration or indexing time, interned
-        #: to an integer id with kernel features resolved once.
-        self.vocab = TagVocabulary(similarity)
         self._entries: Dict[SubjectiveTag, Dict[str, float]] = {}
         #: per-entity, per-review extracted tags, kept so new index tags can
         #: be mapped without re-reading reviews (the Figure 1 indexing round).
@@ -110,7 +96,86 @@ class SubjectiveTagIndex:
         self._entity_review_counts: Dict[str, int] = {}
         #: dynamic-mode per-tag thresholds, cached until the corpus changes.
         self._threshold_cache: Dict[SubjectiveTag, float] = {}
-        # ----- matrix backing (vectorized backend) -----
+
+    def register_entity(
+        self,
+        entity_id: str,
+        review_tags: Sequence[Sequence[SubjectiveTag]],
+    ) -> None:
+        """Store an entity's per-review extracted tags (extraction output)."""
+        per_review = [list(tags) for tags in review_tags]
+        self._entity_tags[entity_id] = per_review
+        self._entity_review_counts[entity_id] = len(per_review)
+        self._threshold_cache.clear()
+
+    def build(self, tags: Iterable[SubjectiveTag]) -> "_TagIndexBase":
+        """Add many tags (one indexing round)."""
+        for tag in tags:
+            self.add_tag(tag)
+        return self
+
+    def _threshold_for(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
+        """Per-tag similarity threshold (static, or semantics-adaptive).
+
+        Dynamic mode compares the tag against each *distinct* review tag —
+        not every occurrence, which made each ``add_tag`` O(total review
+        tags) for no gain (duplicates cannot change the peak).  The result
+        is cached per tag until new entities are registered.
+        """
+        if self.theta_mode == "static":
+            return self.theta_index
+        cached = self._threshold_cache.get(tag)
+        if cached is not None:
+            return cached
+        similarities = self._review_tag_similarities(tag, _row)
+        positive = similarities[similarities > 0.0]
+        theta = self.theta_index
+        if positive.size:
+            # Generic tags see many high-similarity neighbours; push the
+            # threshold up toward (max - margin) so only close matches count.
+            peak = float(positive.max())
+            theta = float(min(max(self.theta_index, peak - self.dynamic_margin), 0.95))
+        self._threshold_cache[tag] = theta
+        return theta
+
+    def _max_reviews(self) -> int:
+        """|R| of the best-reviewed entity."""
+        return max(self._entity_review_counts.values(), default=1)
+
+    @property
+    def tags(self) -> List[SubjectiveTag]:
+        return list(self._entries)
+
+    def __contains__(self, tag: SubjectiveTag) -> bool:
+        return tag in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, tag: SubjectiveTag) -> Dict[str, float]:
+        """Exact-tag entity mapping (empty if the tag is not indexed)."""
+        return dict(self._entries.get(tag, {}))
+
+    def lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
+        """Union of similar index tags' mappings, degrees scaled by similarity.
+
+        Implements Algorithm 1 line 10: for an unknown tag, combine the
+        mappings of all index tags with similarity above ``θ_filter``; an
+        entity reached through several similar tags accumulates their
+        contributions (the paper's worked example sums ``s1·0.76 + s2·0.94``
+        for Anchovy).
+        """
+        return self.lookup_similar_batch([tag], theta_filter)[0]
+
+
+class SubjectiveTagIndex(_TagIndexBase):
+    """Inverted index over subjective tags with degrees of truth."""
+
+    def __init__(self, similarity: ConceptualSimilarity, **config):
+        super().__init__(similarity, **config)
+        #: every distinct tag seen at registration or indexing time, interned
+        #: to an integer id with kernel features resolved once.
+        self.vocab = TagVocabulary(similarity)
         self._entity_order: List[str] = []
         self._entity_col: Dict[str, int] = {}
         self._occ_dirty = False
@@ -119,15 +184,9 @@ class SubjectiveTagIndex:
         self._review_entity = np.zeros(0, dtype=np.intp)
         self._occ_review = np.zeros(0, dtype=np.intp)
         self._review_counts_vec = np.zeros(0)
-        #: similarity rows: one per index tag, each covering the vocabulary
-        #: prefix that existed when the row was computed (rectangularised
-        #: lazily by :meth:`_sync_sim_cols`).
-        self._sim_rows: List[np.ndarray] = []
-        self._sim_cols = 0
+        #: one degree-of-truth row per index tag, over the entity columns.
         self._degree_rows: List[np.ndarray] = []
-        self._sim_cache: Optional[np.ndarray] = None
         self._degree_cache: Optional[np.ndarray] = None
-        self._matrix_stale = False
         #: row-stationary (query tag × index tags) score rows, LRU-bounded;
         #: invalidated whenever the index tag list grows.
         self._query_row_cache: "OrderedDict[SubjectiveTag, np.ndarray]" = OrderedDict()
@@ -140,33 +199,19 @@ class SubjectiveTagIndex:
         entity_id: str,
         review_tags: Sequence[Sequence[SubjectiveTag]],
     ) -> None:
-        """Store an entity's per-review extracted tags (extraction output)."""
-        per_review = [list(tags) for tags in review_tags]
-        self._entity_tags[entity_id] = per_review
-        self._entity_review_counts[entity_id] = len(per_review)
+        super().register_entity(entity_id, review_tags)
         if entity_id not in self._entity_col:
             self._entity_col[entity_id] = len(self._entity_order)
             self._entity_order.append(entity_id)
-        for tags in per_review:
+        for tags in self._entity_tags[entity_id]:
             self.vocab.intern_many(tags)
         self._occ_dirty = True
-        self._threshold_cache.clear()
 
     def add_tag(self, tag: SubjectiveTag) -> None:
         """Add an index tag and compute its entity mappings (Eq. 1)."""
         if tag in self._entries:
             return
-        if self.backend == "scalar":
-            theta = self._threshold_for(tag)
-            mapping: Dict[str, float] = {}
-            for entity_id in self._entity_tags:
-                degree = self._degree_of_truth(tag, entity_id, theta)
-                if degree > 0.0:
-                    mapping[entity_id] = degree
-            self._entries[tag] = mapping
-            return
         self._ensure_occ()
-        self._ensure_matrix()
         self.vocab.intern(tag)
         row = self.vocab.similarity_rows([tag])[0]
         theta = self._threshold_for(tag, _row=row)
@@ -176,83 +221,19 @@ class SubjectiveTagIndex:
             for entity_id, degree in zip(self._entity_order, degrees)
             if degree > 0.0
         }
-        self._sim_rows.append(row)
         self._degree_rows.append(degrees)
-        self._sim_cache = None
         self._degree_cache = None
         # Cached query rows span the old index tag list; drop them.
         self._query_row_cache.clear()
         self._query_rows_warm = False
 
-    def _threshold_for(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
-        """Per-tag similarity threshold (static, or semantics-adaptive).
-
-        Dynamic mode compares the tag against each *distinct* review tag in
-        the vocabulary — not every occurrence, which made each ``add_tag``
-        O(total review tags) for no gain (duplicates cannot change the peak).
-        The result is cached per tag until new entities are registered.
-        """
-        if self.theta_mode == "static":
-            return self.theta_index
-        cached = self._threshold_cache.get(tag)
-        if cached is not None:
-            return cached
+    def _review_tag_similarities(
+        self, tag: SubjectiveTag, row: Optional[np.ndarray]
+    ) -> np.ndarray:
         self._ensure_occ()
-        distinct = np.unique(self._occ_ids)
-        if _row is not None:
-            sims = _row[distinct]
-        elif self.backend == "vectorized":
-            sims = self.vocab.similarity_rows([tag])[0][distinct]
-        else:
-            sims = np.array(
-                [
-                    self.similarity.tag_similarity(tag.pair, tag_pair(self.vocab.tag_of(i)))
-                    for i in distinct
-                ]
-            )
-        positive = sims[sims > 0.0]
-        theta = self.theta_index
-        if positive.size:
-            # Generic tags see many high-similarity neighbours; push the
-            # threshold up toward (max - margin) so only close matches count.
-            peak = float(positive.max())
-            theta = float(min(max(self.theta_index, peak - self.dynamic_margin), 0.95))
-        self._threshold_cache[tag] = theta
-        return theta
-
-    def build(self, tags: Iterable[SubjectiveTag]) -> "SubjectiveTagIndex":
-        """Add many tags (one indexing round)."""
-        for tag in tags:
-            self.add_tag(tag)
-        return self
-
-    def _degree_of_truth(self, tag: SubjectiveTag, entity_id: str, theta: Optional[float] = None) -> float:
-        """Scalar-path Eq. 1 for one (tag, entity) pair — the reference oracle."""
-        theta = self.theta_index if theta is None else theta
-        matched: List[float] = []
-        matching_reviews = 0
-        for review_tag_list in self._entity_tags[entity_id]:
-            review_matched = False
-            for review_tag in review_tag_list:
-                score = self.similarity.tag_similarity(tag.pair, review_tag.pair)
-                if score > theta:
-                    matched.append(score)
-                    review_matched = True
-            matching_reviews += int(review_matched)
-        if not matched:
-            return 0.0
-        if self.review_count_mode == "matched":
-            review_count = matching_reviews
-        else:
-            review_count = self._entity_review_counts[entity_id]
-        degree = math.log(review_count + 1) / len(matched) * sum(matched)
-        if self.normalize_degrees:
-            degree /= math.log(self._max_reviews() + 1)
-        return degree
-
-    def _max_reviews(self) -> int:
-        """|R| of the best-reviewed entity."""
-        return max(self._entity_review_counts.values(), default=1)
+        if row is None:
+            row = self.vocab.similarity_rows([tag])[0]
+        return row[np.unique(self._occ_ids)]
 
     # ------------------------------------------------------- matrix plumbing
 
@@ -289,61 +270,6 @@ class SubjectiveTagIndex:
         ]
         self._degree_cache = None
         self._occ_dirty = False
-
-    def _ensure_matrix(self) -> None:
-        """Fully rebuild similarity/degree rows after a snapshot restore."""
-        if not self._matrix_stale:
-            return
-        tags = list(self._entries)
-        if tags:
-            block = self.vocab.similarity_rows(tags)
-            self._sim_rows = [block[i] for i in range(len(tags))]
-        else:
-            self._sim_rows = []
-        self._sim_cols = len(self.vocab)
-        n_entities = len(self._entity_order)
-        self._degree_rows = []
-        for tag in tags:
-            row = np.zeros(n_entities)
-            for entity_id, degree in self._entries[tag].items():
-                col = self._entity_col.get(entity_id)
-                if col is not None:
-                    row[col] = degree
-            self._degree_rows.append(row)
-        self._sim_cache = None
-        self._degree_cache = None
-        self._matrix_stale = False
-
-    def _sync_sim_cols(self) -> None:
-        """Rectangularise similarity rows up to the current vocabulary size.
-
-        Rows are appended covering whatever vocabulary prefix existed at add
-        time; one batched kernel call fills every missing suffix at once.
-        """
-        vocab_size = len(self.vocab)
-        tags = list(self._entries)
-        short = [i for i, row in enumerate(self._sim_rows) if len(row) < vocab_size]
-        if not short:
-            self._sim_cols = vocab_size
-            return
-        start = min(len(self._sim_rows[i]) for i in short)
-        block = self.similarity.similarity_block(
-            self.similarity.tag_features([tags[i] for i in short]),
-            self.vocab.features_range(start, vocab_size),
-        )
-        for block_i, i in enumerate(short):
-            row = self._sim_rows[i]
-            self._sim_rows[i] = np.concatenate([row, block[block_i, len(row) - start :]])
-        self._sim_cache = None
-        self._sim_cols = vocab_size
-
-    def _sim_matrix(self) -> np.ndarray:
-        """The cached (index_tags × vocab) similarity matrix."""
-        if self._sim_cache is None:
-            self._sim_cache = (
-                np.vstack(self._sim_rows) if self._sim_rows else np.zeros((0, self._sim_cols))
-            )
-        return self._sim_cache
 
     def _degree_matrix(self) -> np.ndarray:
         """The cached (index_tags × entities) degree-of-truth matrix."""
@@ -393,16 +319,15 @@ class SubjectiveTagIndex:
     # ------------------------------------------------------------- persistence
 
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        """Materialised matrix state for :mod:`repro.core.snapshot`.
+        """Materialised index state for :mod:`repro.core.snapshot`.
 
-        Forces every lazy structure first so a load never has to re-run a
+        The occurrence arrays and the degree matrix — everything Algorithm 1
+        and later indexing rounds read — so a load never has to re-run a
         similarity kernel.  Tags are stored as parallel aspect/opinion
         string arrays — round-tripping through ``SubjectiveTag.text`` would
         mis-split multi-word aspects.
         """
         self._ensure_occ()
-        self._ensure_matrix()
-        self._sync_sim_cols()
         vocab_tags = self.vocab.tags
         index_tags = list(self._entries)
         return {
@@ -418,7 +343,6 @@ class SubjectiveTagIndex:
             "occ_ids": np.asarray(self._occ_ids, dtype=np.int64),
             "review_indptr": np.asarray(self._review_indptr, dtype=np.int64),
             "review_entity": np.asarray(self._review_entity, dtype=np.int64),
-            "sims": self._sim_matrix().astype(np.float64, copy=False),
             "degrees": self._degree_matrix().astype(np.float64, copy=False),
         }
 
@@ -436,8 +360,8 @@ class SubjectiveTagIndex:
     ) -> "SubjectiveTagIndex":
         """Rebuild a vectorized index from :meth:`snapshot_arrays` output.
 
-        The similarity and degree matrices are installed verbatim (bitwise —
-        no kernel re-runs), and the per-review tag lists are reconstructed
+        The degree matrix is installed verbatim (bitwise — no kernel
+        re-runs), and the per-review tag lists are reconstructed
         from the CSR occurrence arrays so later indexing rounds still work.
         """
         index = cls(
@@ -447,7 +371,6 @@ class SubjectiveTagIndex:
             review_count_mode=review_count_mode,
             theta_mode=theta_mode,
             dynamic_margin=dynamic_margin,
-            backend="vectorized",
         )
         vocab_tags = [
             SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
@@ -468,12 +391,9 @@ class SubjectiveTagIndex:
         occ_ids = np.asarray(arrays["occ_ids"], dtype=np.intp)
         review_indptr = np.asarray(arrays["review_indptr"], dtype=np.intp)
         review_entity = np.asarray(arrays["review_entity"], dtype=np.intp)
-        sims = np.asarray(arrays["sims"], dtype=np.float64)
         degrees = np.asarray(arrays["degrees"], dtype=np.float64)
-        if sims.shape[0] != len(index_tags) or degrees.shape[0] != len(index_tags):
+        if degrees.shape[0] != len(index_tags):
             raise ValueError("snapshot arrays disagree on index tag count")
-        if sims.size and sims.shape[1] != len(index.vocab):
-            raise ValueError("snapshot similarity matrix does not cover the vocabulary")
         if degrees.size and degrees.shape[1] != len(entity_order):
             raise ValueError("snapshot degree matrix does not cover the entities")
         if occ_ids.size and (occ_ids.min() < 0 or occ_ids.max() >= len(vocab_tags)):
@@ -496,9 +416,7 @@ class SubjectiveTagIndex:
         )
         index._review_counts_vec = np.asarray([float(count) for count in counts])
         index._occ_dirty = False
-        index._sim_rows = [sims[i] for i in range(sims.shape[0])]
         index._degree_rows = [degrees[i] for i in range(degrees.shape[0])]
-        index._sim_cols = len(index.vocab)
         index._entries = {
             tag: {
                 entity_order[col]: float(degrees[i, col])
@@ -506,37 +424,9 @@ class SubjectiveTagIndex:
             }
             for i, tag in enumerate(index_tags)
         }
-        index._matrix_stale = False
-        index._sim_cache = None
-        index._degree_cache = None
         return index
 
     # ---------------------------------------------------------------- queries
-
-    @property
-    def tags(self) -> List[SubjectiveTag]:
-        return list(self._entries)
-
-    def __contains__(self, tag: SubjectiveTag) -> bool:
-        return tag in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, tag: SubjectiveTag) -> Dict[str, float]:
-        """Exact-tag entity mapping (empty if the tag is not indexed)."""
-        return dict(self._entries.get(tag, {}))
-
-    def lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
-        """Union of similar index tags' mappings, degrees scaled by similarity.
-
-        Implements Algorithm 1 line 10: for an unknown tag, combine the
-        mappings of all index tags with similarity above ``θ_filter``; an
-        entity reached through several similar tags accumulates their
-        contributions (the paper's worked example sums ``s1·0.76 + s2·0.94``
-        for Anchovy).
-        """
-        return self.lookup_similar_batch([tag], theta_filter)[0]
 
     def lookup_similar_batch(
         self, tags: Sequence[SubjectiveTag], theta_filter: float
@@ -550,13 +440,10 @@ class SubjectiveTagIndex:
         never changes a score.
         """
         tags = list(tags)
-        with obs.span("index.similarity", tags=len(tags), backend=self.backend):
-            if self.backend == "scalar":
-                return [self._scalar_lookup_similar(tag, theta_filter) for tag in tags]
+        with obs.span("index.similarity", tags=len(tags)):
             if not self._entries or not tags:
                 return [{} for _ in tags]
             self._ensure_occ()
-            self._ensure_matrix()
             results: List[Dict[str, float]] = []
             for scores in self._query_rows(tags):
                 combined = self._combine_score_rows(scores, theta_filter)
@@ -573,10 +460,9 @@ class SubjectiveTagIndex:
         """One score row per query tag against the index tag list.
 
         Rows come from the LRU cache or a row-stationary kernel call
-        (chunked at :data:`_QUERY_ROW_CHUNK`), never from columns of the
-        cached (index_tags × vocab) matrix: that matrix is built in large
-        batches whose gemm low bits depend on batch shape, while these rows
-        must be bitwise reproducible however they are batched.
+        (chunked at :data:`_QUERY_ROW_CHUNK`): large kernel blocks have gemm
+        low bits that depend on batch shape, while these rows must be
+        bitwise reproducible however they are batched.
         """
         index_tags = list(self._entries)
         if not self._query_rows_warm:
@@ -627,16 +513,6 @@ class SubjectiveTagIndex:
             combined += scores[tag_pos] * degree_matrix[tag_pos]
         return combined
 
-    def _scalar_lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
-        combined: Dict[str, float] = {}
-        for index_tag, mapping in self._entries.items():
-            score = self.similarity.tag_similarity(tag.pair, index_tag.pair)
-            if score <= theta_filter:
-                continue
-            for entity_id, degree in mapping.items():
-                combined[entity_id] = combined.get(entity_id, 0.0) + score * degree
-        return combined
-
     def snippet(self, max_tags: int = 4, max_entities: int = 3) -> str:
         """A Table-1-style textual rendering (for examples and docs).
 
@@ -651,3 +527,77 @@ class SubjectiveTagIndex:
             rendered = ", ".join(f"{e} ({d:.2f})" for e, d in entries)
             lines.append(f"{tag.text:<22} -> {rendered}")
         return "\n".join(lines)
+
+
+class ScalarTagIndex(_TagIndexBase):
+    """Per-pair Eq. 1 / Algorithm 1 reference for :class:`SubjectiveTagIndex`.
+
+    One ``tag_similarity`` call per (tag, review tag) pair and plain dict
+    accumulation: the behaviour contract the equivalence tests hold the
+    vectorized index to (every degree and score within 1e-9).  Nothing in
+    production builds one.
+    """
+
+    def add_tag(self, tag: SubjectiveTag) -> None:
+        """Add an index tag and compute its entity mappings (Eq. 1)."""
+        if tag in self._entries:
+            return
+        theta = self._threshold_for(tag)
+        mapping: Dict[str, float] = {}
+        for entity_id in self._entity_tags:
+            degree = self._degree_of_truth(tag, entity_id, theta)
+            if degree > 0.0:
+                mapping[entity_id] = degree
+        self._entries[tag] = mapping
+
+    def _review_tag_similarities(
+        self, tag: SubjectiveTag, row: Optional[np.ndarray]
+    ) -> np.ndarray:
+        distinct = {
+            review_tag
+            for reviews in self._entity_tags.values()
+            for review in reviews
+            for review_tag in review
+        }
+        return np.array(
+            [self.similarity.tag_similarity(tag.pair, tag_pair(t)) for t in distinct]
+        )
+
+    def _degree_of_truth(self, tag: SubjectiveTag, entity_id: str, theta: float) -> float:
+        """Eq. 1 for one (tag, entity) pair."""
+        matched: List[float] = []
+        matching_reviews = 0
+        for review_tag_list in self._entity_tags[entity_id]:
+            review_matched = False
+            for review_tag in review_tag_list:
+                score = self.similarity.tag_similarity(tag.pair, review_tag.pair)
+                if score > theta:
+                    matched.append(score)
+                    review_matched = True
+            matching_reviews += int(review_matched)
+        if not matched:
+            return 0.0
+        if self.review_count_mode == "matched":
+            review_count = matching_reviews
+        else:
+            review_count = self._entity_review_counts[entity_id]
+        degree = math.log(review_count + 1) / len(matched) * sum(matched)
+        if self.normalize_degrees:
+            degree /= math.log(self._max_reviews() + 1)
+        return degree
+
+    def lookup_similar_batch(
+        self, tags: Sequence[SubjectiveTag], theta_filter: float
+    ) -> List[Dict[str, float]]:
+        """Algorithm 1 line 10 per query tag, one index tag at a time."""
+        results = []
+        for tag in tags:
+            combined: Dict[str, float] = {}
+            for index_tag, mapping in self._entries.items():
+                score = self.similarity.tag_similarity(tag.pair, index_tag.pair)
+                if score <= theta_filter:
+                    continue
+                for entity_id, degree in mapping.items():
+                    combined[entity_id] = combined.get(entity_id, 0.0) + score * degree
+            results.append(combined)
+        return results

@@ -34,7 +34,7 @@ from repro.data.schema import Entity, Review
 from repro.obs import tracing as obs
 from repro.text.similarity import ConceptualSimilarity
 
-__all__ = ["SaccsConfig", "Saccs", "IndexingRound", "PreparedIndex"]
+__all__ = ["SaccsConfig", "Saccs", "IndexingRound"]
 
 @dataclass(frozen=True)
 class IndexingRound:
@@ -46,20 +46,6 @@ class IndexingRound:
 
     generation: int
     added: Tuple[SubjectiveTag, ...]
-
-
-@dataclass(frozen=True)
-class PreparedIndex:
-    """A fully built replacement index waiting to be swapped in.
-
-    The double buffer of the zero-downtime reindex protocol: built by
-    :meth:`Saccs.prepare_rebuild` (no observable state change), installed by
-    :meth:`Saccs.commit_rebuild` (a pointer swap plus the history fold —
-    the only part that needs the serving lock).
-    """
-
-    index: SubjectiveTagIndex
-    tags: Tuple[SubjectiveTag, ...]
 
 
 @dataclass
@@ -76,9 +62,6 @@ class SaccsConfig:
     theta_mode: str = "static"
     #: sentences per extraction length bucket (one encoder forward each).
     extraction_batch_sentences: int = 64
-    #: cache extracted tags per review content hash, making
-    #: :meth:`Saccs.rebuild_index` after small corpus edits incremental.
-    extraction_cache: bool = True
     #: encoder precision for the tape-free fused inference path used by
     #: bucketed extraction: ``"float64"`` (bitwise-identical default) or
     #: ``"float32"`` (tolerance-bounded, faster).
@@ -106,7 +89,6 @@ class SaccsConfig:
     def extraction_config(self) -> ExtractionEngineConfig:
         return ExtractionEngineConfig(
             batch_sentences=self.extraction_batch_sentences,
-            cache_enabled=self.extraction_cache,
             encoder_precision=self.encoder_precision,
         )
 
@@ -204,34 +186,20 @@ class Saccs:
         self.index.build(tags)
         self.index_generation += 1
 
-    def rebuild_index(self, reviews: Optional[Mapping[str, Sequence[Review]]] = None) -> None:
-        """Re-extract the (possibly updated) corpus and rebuild the index.
-
-        The incremental path for corpus changes: pass the new ``reviews``
-        mapping (or ``None`` to re-read the current one) and the extraction
-        engine's content-hash cache makes the pass re-tag only new or edited
-        reviews.  The indexed tag set — initial build tags plus every tag
-        adopted from the user history — is preserved, rebuilt against the
-        fresh extraction, and the generation bumped so serving caches
-        invalidate deterministically.
-        """
-        prepared = self.prepare_rebuild(reviews)
-        self.index = prepared.index
-        self._ingested = True
-        self.index_generation += 1
-
     def prepare_rebuild(
         self,
         reviews: Optional[Mapping[str, Sequence[Review]]] = None,
         indexed_tags: Optional[Sequence[SubjectiveTag]] = None,
         pace: Optional[Callable[[], None]] = None,
-    ) -> PreparedIndex:
+    ) -> SubjectiveTagIndex:
         """Build a replacement index off to the side (the double buffer).
 
-        Extraction and degree computation run against a *fresh* index object
-        while :attr:`index` keeps serving; nothing a reader can observe
-        changes until the caller swaps the result in (either
-        :meth:`commit_rebuild` or :meth:`rebuild_index`'s inline swap).
+        The full rebuild's first half, for corpus edits: pass the new
+        ``reviews`` mapping (or ``None`` to re-read the current one) and the
+        extraction engine's content-hash cache re-tags only new or edited
+        reviews.  Extraction and degree computation run against a *fresh*
+        index object while :attr:`index` keeps serving; nothing a reader can
+        observe changes until :meth:`commit_rebuild` swaps the result in.
         Concurrent-serving callers snapshot ``indexed_tags`` under their own
         lock before calling and hold that lock only for the swap.
 
@@ -250,17 +218,17 @@ class Saccs:
             fresh.add_tag(tag)
             if pace is not None:
                 pace()
-        return PreparedIndex(index=fresh, tags=tuple(indexed_tags))
+        return fresh
 
-    def commit_rebuild(self, prepared: PreparedIndex) -> IndexingRound:
+    def commit_rebuild(self, prepared: SubjectiveTagIndex) -> IndexingRound:
         """Swap a prepared index in and fold the accumulated tag history.
 
-        The atomic half of the background-reindex protocol: one pointer
+        The full rebuild's atomic second half: one pointer
         swap, then :meth:`run_indexing_round` folds in the user tags that
         arrived *while the buffer was being built* and bumps the generation
         once.
         """
-        self.index = prepared.index
+        self.index = prepared
         self._ingested = True
         return self.run_indexing_round()
 

@@ -1,7 +1,7 @@
 """Index snapshot persistence: one ``.npz`` plus a hashed JSON manifest.
 
 A snapshot is a directory holding ``index.npz`` (the CSR occurrence arrays,
-vocabulary, similarity and degree-of-truth matrices from
+vocabulary and degree-of-truth matrix from
 :meth:`SubjectiveTagIndex.snapshot_arrays`) and a ``manifest.json``
 recording the index configuration, the indexed tag list, and the file's
 sha256 — the same content-hash keying the ``ExtractionCache`` uses for
@@ -26,7 +26,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
@@ -47,11 +47,15 @@ __all__ = [
 ]
 
 #: the only on-disk index format; loads refuse any other version.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 
 INDEX_NAME = "index.npz"
+
+#: files only earlier layouts wrote (v2 kept one ``.npz`` per shard); a save
+#: removes them so a re-blessed directory holds just the current format.
+_STALE_FILES = "shard-*.npz"
 
 _NUMBER = (int, float)
 
@@ -65,7 +69,6 @@ _REQUIRED_ARRAYS = (
     "occ_ids",
     "review_indptr",
     "review_entity",
-    "sims",
     "degrees",
 )
 
@@ -107,7 +110,8 @@ def save_snapshot(index: SubjectiveTagIndex, directory: Union[str, Path]) -> Dic
 
     The ``.npz`` lands first (via temp + ``os.replace``), the manifest —
     whose hash blesses it — last, so a reader never sees a new file blessed
-    by an old manifest as valid.
+    by an old manifest as valid.  Files of earlier layouts go only after
+    the new manifest is in place.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -132,6 +136,8 @@ def save_snapshot(index: SubjectiveTagIndex, directory: Union[str, Path]) -> Dic
         directory / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
     )
+    for stale in directory.glob(_STALE_FILES):
+        stale.unlink(missing_ok=True)
     return manifest
 
 
@@ -174,9 +180,11 @@ def _load_arrays(directory: Path, expected_sha: str) -> Dict[str, np.ndarray]:
 
 def load_snapshot(
     directory: Union[str, Path], similarity: ConceptualSimilarity
-) -> SubjectiveTagIndex:
+) -> Tuple[SubjectiveTagIndex, str]:
     """Rebuild the index persisted under ``directory``.
 
+    Returns the index and the ``snapshot_sha256`` of the manifest it was
+    verified against, so a caller names the snapshot it actually loaded.
     Raises a :class:`SnapshotError` subclass on any inconsistency; callers
     catch it and fall back to a cold build.
     """
@@ -215,4 +223,4 @@ def load_snapshot(
         raise SnapshotIntegrityError(f"inconsistent snapshot: {exc}") from exc
     if index.tags != expected_tags:
         raise SnapshotIntegrityError(f"{INDEX_NAME} indexes a different tag list than the manifest")
-    return index
+    return index, manifest["snapshot_sha256"]

@@ -14,7 +14,8 @@ Stdlib only (:mod:`http.server`).  Endpoints:
 ``GET  /debug/slo``               burn rates, budgets and alert states
 ``POST /search``                  rank entities for ``tags`` or an ``utterance``
 ``POST /session/<id>/say``        one conversational turn in session ``<id>``
-``POST /admin/reindex``           fold the tag history; bump the generation
+``POST /admin/reindex``           fold the tag history (``full``: rebuild
+                                  first); bump the generation
 ================================  =============================================
 
 Every response is JSON; errors use the uniform envelope from
@@ -279,19 +280,19 @@ def make_handler(runtime: SaccsRuntime):
 
         def _handle_reindex(self) -> Tuple[int, dict]:
             # The body is optional: empty → history fold only;
-            # {"full": true} → re-extract the corpus and rebuild first;
-            # {"background": true} → double-buffered rebuild (searches keep
-            # serving; the replacement index swaps in atomically).
+            # {"full": true}, or its older name {"background": true} → the
+            # double-buffered rebuild first (searches keep serving; the
+            # replacement index swaps in atomically).
             body = self._read_json() if self._content_length() else {}
             if not isinstance(body, dict):
                 raise ProtocolError("reindex body must be a JSON object")
-            full = body.get("full", False)
-            if not isinstance(full, bool):
-                raise ProtocolError("'full' must be a boolean")
-            background = body.get("background", False)
-            if not isinstance(background, bool):
-                raise ProtocolError("'background' must be a boolean")
-            return 200, runtime.reindex(full=full, background=background).to_payload()
+            full = False
+            for key in ("full", "background"):
+                value = body.get(key, False)
+                if not isinstance(value, bool):
+                    raise ProtocolError(f"{key!r} must be a boolean")
+                full = full or value
+            return 200, runtime.reindex(full=full).to_payload()
 
         def _handle_search(self) -> Tuple[int, dict]:
             request = SearchRequest.parse(self._read_json())

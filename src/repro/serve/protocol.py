@@ -161,11 +161,10 @@ class ReindexResponse:
     generation: int
     adopted: Tuple[str, ...]
     invalidated_entries: int
-    #: whether the round also re-extracted the corpus and rebuilt the index.
+    #: whether the round also re-extracted the corpus and rebuilt the index
+    #: (always double-buffered, so the payload's older ``background`` key
+    #: carries the same value).
     full: bool = False
-    #: whether the rebuild ran double-buffered (searches served throughout,
-    #: replacement index swapped in atomically at the end).
-    background: bool = False
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -173,5 +172,5 @@ class ReindexResponse:
             "adopted": list(self.adopted),
             "invalidated_entries": self.invalidated_entries,
             "full": self.full,
-            "background": self.background,
+            "background": self.full,
         }

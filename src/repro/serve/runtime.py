@@ -78,7 +78,7 @@ _STOP = object()
 
 _LOG = get_logger("repro.serve.runtime")
 
-#: sleep between background-rebuild work units (entities, index tags).  Each
+#: sleep between full-rebuild work units (entities, index tags).  Each
 #: sleep releases the GIL, so racing searches run between units instead of
 #: stalling for a full interpreter switch interval.
 _REBUILD_PACE_SECONDS = 0.0005
@@ -200,7 +200,7 @@ class SaccsRuntime:
         #: serialises start/stop: concurrent callers must not double-spawn
         #: or double-drain the scheduler threads.
         self._lifecycle_lock = make_lock("serve.runtime.lifecycle")
-        #: serialises whole reindex operations.  Background rebuilds hold
+        #: serialises whole reindex operations.  Full rebuilds hold
         #: this (never the facade lock) for the build, so two admins can't
         #: interleave double-buffer builds while searches keep flowing.
         self._reindex_lock = make_lock("serve.runtime.reindex")
@@ -426,35 +426,24 @@ class SaccsRuntime:
 
     # ------------------------------------------------------------------ admin
 
-    def reindex(self, full: bool = False, background: bool = False) -> ReindexResponse:
+    def reindex(self, full: bool = False) -> ReindexResponse:
         """Fold the user tag history into the index; bump the generation.
 
-        ``full=True`` additionally re-extracts the corpus and rebuilds the
-        whole index first (:meth:`Saccs.rebuild_index`) — the path for
-        corpus edits.  The extraction engine's content-hash cache makes it
-        incremental: only new or edited reviews are re-tagged, and the
-        hit/miss counters land in this runtime's ``/metrics``.
-
-        ``background=True`` runs the rebuild *double-buffered*: the
-        replacement index is extracted and built while searches keep hitting
-        the live one, and only the pointer swap + history fold take the
-        facade lock — zero downtime instead of blocking the world.  The
-        caller still blocks until the swap lands (the response needs the new
-        generation); "background" refers to what the search path observes.
+        ``full=True`` first re-extracts the corpus and rebuilds the whole
+        index *double-buffered* (:meth:`_rebuild`): the replacement is
+        built while searches keep hitting the live index, and only the
+        pointer swap plus the history fold take the facade lock.  The
+        extraction engine's content-hash cache makes the re-extraction
+        incremental — only new or edited reviews are re-tagged, and the
+        hit/miss counters land in this runtime's ``/metrics``.  The caller
+        blocks until the swap lands (the response needs the new generation).
         """
         self.metrics.incr("requests.reindex")
         with self.metrics.time("latency.reindex_seconds"):
-            if background:
-                round_ = self._background_rebuild()
+            if full:
+                round_ = self._rebuild()
             else:
                 with self._facade_lock:
-                    if full:
-                        # Held across the rebuild on purpose: foreground
-                        # reindex is the *explicitly requested* stop-the-world
-                        # path (admin asked for synchronous semantics); the
-                        # non-stalling variant is background=True.
-                        self.saccs.rebuild_index()
-                        self.metrics.incr("index.swap")
                     round_: IndexingRound = self.saccs.run_indexing_round()
             # Sweep strictly after the swap bumped the generation — see
             # ServingCache.sweep for why the other order leaks entries.
@@ -465,18 +454,16 @@ class SaccsRuntime:
             generation=round_.generation,
             adopted=len(round_.added),
             invalidated_entries=invalidated,
-            full=full or background,
-            background=background,
+            full=full,
         )
         return ReindexResponse(
             generation=round_.generation,
             adopted=tuple(tag.text for tag in round_.added),
             invalidated_entries=invalidated,
-            full=full or background,
-            background=background,
+            full=full,
         )
 
-    def _background_rebuild(self) -> IndexingRound:
+    def _rebuild(self) -> IndexingRound:
         """Zero-downtime full reindex: build off to the side, swap atomically.
 
         Protocol (lock order is always facade-inside-reindex, never nested
@@ -502,7 +489,7 @@ class SaccsRuntime:
         with self._reindex_lock:
             with self._facade_lock:
                 indexed_tags = list(self.saccs.index.tags)
-            with obs.span("index.rebuild", background=True):
+            with obs.span("index.rebuild"):
                 # Held across the prepare on purpose: the reindex lock exists
                 # precisely to serialise whole rebuilds; the search path never
                 # takes it, so the long prepare stalls only other admins while

@@ -93,16 +93,6 @@ class TagVocabulary:
         self._features_len = len(self._tags)
         return self._features
 
-    def features_range(self, start: int, stop: int) -> TagFeatures:
-        """Feature slice for vocabulary ids ``[start, stop)``."""
-        full = self.features()
-        return TagFeatures(
-            concepts=full.concepts[start:stop],
-            surfaces=full.surfaces[start:stop],
-            opinions=full.opinions[start:stop],
-            units=full.units[start:stop],
-        )
-
     def similarity_rows(self, tags: Sequence) -> np.ndarray:
         """(len(tags) × len(vocab)) similarity block against the vocabulary."""
         return self.similarity.similarity_block(

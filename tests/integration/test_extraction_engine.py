@@ -140,7 +140,7 @@ class TestIncrementalReingest:
 
         # Unchanged corpus: every review hits, nothing is re-tagged.
         generation = saccs.index_generation
-        saccs.rebuild_index()
+        saccs.commit_rebuild(saccs.prepare_rebuild())
         assert cache.hits == hits0 + total
         assert cache.misses == misses0
         assert saccs.index_generation == generation + 1
@@ -159,7 +159,7 @@ class TestIncrementalReingest:
         updated = dict(world.reviews)
         updated[entity_id] = [edited] + list(world.reviews[entity_id][1:])
         misses_before = cache.misses
-        saccs.rebuild_index(updated)
+        saccs.commit_rebuild(saccs.prepare_rebuild(updated))
         assert cache.misses == misses_before + 1
 
 

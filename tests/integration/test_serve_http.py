@@ -370,6 +370,25 @@ class TestHttpSurface:
             _post(f"{server.url}/search", {"utterance": "a place with delicious food"})
         assert excinfo.value.code == 501
 
+    @pytest.mark.parametrize("body", [{"full": True}, {"background": True}])
+    def test_full_and_background_reindex_run_the_one_rebuild(self, server, body):
+        swaps = _get(f"{server.url}/metrics")["counters"].get("index.swap", 0)
+        response = _post(f"{server.url}/admin/reindex", body)
+        assert response["full"] is True and response["background"] is True
+        assert _get(f"{server.url}/metrics")["counters"]["index.swap"] == swaps + 1
+
+    def test_empty_reindex_only_folds_the_history(self, server):
+        swaps = _get(f"{server.url}/metrics")["counters"].get("index.swap", 0)
+        response = _post(f"{server.url}/admin/reindex", {})
+        assert response["full"] is False and response["background"] is False
+        assert _get(f"{server.url}/metrics")["counters"].get("index.swap", 0) == swaps
+
+    @pytest.mark.parametrize("body", [{"full": "yes"}, {"background": 1}])
+    def test_non_boolean_reindex_flag_is_a_client_error(self, server, body):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{server.url}/admin/reindex", body)
+        assert excinfo.value.code == 400
+
 
 class TestSessionsOverHttp:
     @pytest.fixture(scope="class")

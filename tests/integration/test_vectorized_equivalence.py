@@ -1,7 +1,8 @@
 """Vectorized-vs-scalar equivalence on a seeded synthetic world.
 
 The matrix-backed index must return *identical* results — same entity sets,
-degrees within 1e-9 — to the scalar reference oracle for every query shape:
+degrees within 1e-9 — to the scalar reference oracle
+(:class:`~repro.core.index.ScalarTagIndex`) for every query shape:
 exact ``lookup``, Algorithm-1 ``lookup_similar``, and the full
 ``filter_and_rank`` conversational path.
 """
@@ -9,6 +10,7 @@ exact ``lookup``, Algorithm-1 ``lookup_similar``, and the full
 import pytest
 
 from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, SubjectiveTagIndex
+from repro.core.index import ScalarTagIndex
 from repro.data import WorldConfig, build_world
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -22,12 +24,11 @@ class _ScalarSaccs(Saccs):
     """The facade over the scalar reference index (the oracle)."""
 
     def _make_index(self):
-        return SubjectiveTagIndex(
+        return ScalarTagIndex(
             self.similarity,
             theta_index=self.config.theta_index,
             review_count_mode=self.config.review_count_mode,
             theta_mode=self.config.theta_mode,
-            backend="scalar",
         )
 
 
@@ -42,7 +43,8 @@ def _build_saccs(world, backend, **config_kwargs):
         SaccsConfig(**config_kwargs),
     )
     saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
-    assert saccs.index.backend == backend
+    expected = {"vectorized": SubjectiveTagIndex, "scalar": ScalarTagIndex}[backend]
+    assert type(saccs.index) is expected
     return saccs
 
 

@@ -6,7 +6,12 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.serve import ServeConfig
-from tests.unit.test_core_snapshot import MALFORMED_FIELDS, _rewrite_as_v2, _rewrite_manifest
+from tests.unit.test_core_snapshot import (
+    MALFORMED_FIELDS,
+    _rewrite_as_v2,
+    _rewrite_as_v3,
+    _rewrite_manifest,
+)
 
 
 class TestParser:
@@ -162,7 +167,7 @@ class TestCommands:
         # The built directory keeps the index config: a tag adopted after
         # the round trip maps exactly as it does on an in-process index.
         similarity = ConceptualSimilarity(restaurant_lexicon())
-        loaded = load_snapshot(index_path, similarity)
+        loaded, _ = load_snapshot(index_path, similarity)
         assert loaded.theta_mode == "dynamic"
         world = load_world(world_path)
         in_process = Saccs(
@@ -326,6 +331,7 @@ class TestServeSnapshotWarmStart:
 
     def test_v2_snapshot_directory_is_cold_built_and_reblessed(self, tmp_path, capsys):
         from repro.cli import _build_serving_saccs
+        from repro.core.snapshot import INDEX_NAME, MANIFEST_NAME
 
         snapdir = tmp_path / "snap"
         _build_serving_saccs(self._args(snapdir))
@@ -335,5 +341,24 @@ class TestServeSnapshotWarmStart:
         _, note = _build_serving_saccs(self._args(snapdir))
         assert "format_version 2" in capsys.readouterr().out
         assert note is None
+        # The converted directory keeps no per-shard file of the old layout.
+        assert sorted(path.name for path in snapdir.iterdir()) == [INDEX_NAME, MANIFEST_NAME]
         _, warm_note = _build_serving_saccs(self._args(snapdir))
         assert warm_note is not None
+
+    def test_v3_snapshot_directory_is_rewritten_as_v4(self, tmp_path, capsys):
+        from repro.cli import _build_serving_saccs
+        from repro.core.snapshot import FORMAT_VERSION, MANIFEST_NAME
+
+        snapdir = tmp_path / "snap"
+        _build_serving_saccs(self._args(snapdir))
+        _rewrite_as_v3(snapdir)
+        capsys.readouterr()
+
+        _, note = _build_serving_saccs(self._args(snapdir))
+        assert "format_version 3" in capsys.readouterr().out
+        assert note is None
+        manifest = json.loads((snapdir / MANIFEST_NAME).read_text())
+        assert manifest["format_version"] == FORMAT_VERSION == 4
+        _, (sha, _) = _build_serving_saccs(self._args(snapdir))
+        assert sha == manifest["snapshot_sha256"]

@@ -11,6 +11,7 @@ arrays).
 """
 
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.snapshot import (
     SnapshotIntegrityError,
     SnapshotNotFound,
     SnapshotVersionError,
+    _REQUIRED_ARRAYS,
     _manifest_hash,
     load_snapshot,
     save_snapshot,
@@ -84,6 +86,25 @@ def _rewrite_as_v2(directory):
     )
 
 
+def _rewrite_as_v3(directory):
+    """Turn a saved snapshot into the v3 layout (a ``sims`` array), re-blessed."""
+    path = directory / INDEX_NAME
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays["sims"] = np.zeros((len(arrays["index_aspects"]), len(arrays["vocab_aspects"])))
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    data = buffer.getvalue()
+    path.write_bytes(data)
+    _rewrite_manifest(
+        directory,
+        lambda m: m.update(
+            format_version=3,
+            files={INDEX_NAME: {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}},
+        ),
+    )
+
+
 def _set(*path_and_value):
     """A manifest mutation that sets the field at ``path`` to ``value``."""
     *path, key, value = path_and_value
@@ -123,9 +144,10 @@ class TestRoundTrip:
     def test_single_index_round_trip(self, tmp_path):
         index, tags = _build()
         queries = tags[:8] + [SubjectiveTag(tags[0].aspect, "really wonderful")]
-        save_snapshot(index, tmp_path)
-        loaded = load_snapshot(tmp_path, _similarity())
+        manifest = save_snapshot(index, tmp_path)
+        loaded, sha = load_snapshot(tmp_path, _similarity())
         assert isinstance(loaded, SubjectiveTagIndex)
+        assert sha == manifest["snapshot_sha256"]
         assert loaded.tags == index.tags
         source_arrays, loaded_arrays = index.snapshot_arrays(), loaded.snapshot_arrays()
         assert sorted(loaded_arrays) == sorted(source_arrays)
@@ -142,7 +164,7 @@ class TestRoundTrip:
         """The stored review tags let later indexing rounds run after a load."""
         index, tags = _build(slice(None, None, 2))
         save_snapshot(index, tmp_path)
-        loaded = load_snapshot(tmp_path, _similarity())
+        loaded, _ = load_snapshot(tmp_path, _similarity())
         for tag in tags[1::2]:
             index.add_tag(tag)
             loaded.add_tag(tag)
@@ -153,7 +175,7 @@ class TestRoundTrip:
     def test_dynamic_theta_config_survives_the_round_trip(self, tmp_path):
         index, tags = _build(theta_mode="dynamic")
         save_snapshot(index, tmp_path)
-        loaded = load_snapshot(tmp_path, _similarity())
+        loaded, _ = load_snapshot(tmp_path, _similarity())
         assert loaded.theta_mode == "dynamic"
         assert loaded.lookup_similar_batch(
             tags[:6], theta_filter=0.6
@@ -162,7 +184,7 @@ class TestRoundTrip:
     def test_manifest_hashes_bless_every_file(self, tmp_path):
         index, _ = _build()
         manifest = save_snapshot(index, tmp_path)
-        assert manifest["format_version"] == FORMAT_VERSION == 3
+        assert manifest["format_version"] == FORMAT_VERSION == 4
         assert set(manifest) == {
             "format_version", "config", "index_tags", "files", "snapshot_sha256"
         }
@@ -183,6 +205,35 @@ class TestIntegrity:
         save_snapshot(index, tmp_path)
         _rewrite_manifest(tmp_path, lambda m: m.update(format_version=FORMAT_VERSION + 1))
         with pytest.raises(SnapshotVersionError):
+            load_snapshot(tmp_path, _similarity())
+
+    def test_index_file_holds_only_what_algorithm_1_reads(self, tmp_path):
+        index, _ = _build()
+        save_snapshot(index, tmp_path)
+        with np.load(tmp_path / INDEX_NAME) as npz:
+            assert sorted(npz.files) == sorted(_REQUIRED_ARRAYS)
+        assert "sims" not in _REQUIRED_ARRAYS
+
+    def test_save_removes_the_earlier_layouts_files_and_nothing_else(self, tmp_path):
+        """A converted v2 directory lists exactly the v4 files; foreign files stay."""
+        index, _ = _build()
+        save_snapshot(index, tmp_path)
+        _rewrite_as_v2(tmp_path)
+        save_snapshot(index, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [INDEX_NAME, MANIFEST_NAME]
+        (tmp_path / "notes.txt").write_text("operator notes")
+        (tmp_path / "shard-000.npz.bak").write_text("kept")
+        save_snapshot(index, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            INDEX_NAME, MANIFEST_NAME, "notes.txt", "shard-000.npz.bak"
+        ]
+
+    def test_v3_layout_is_version_skew(self, tmp_path):
+        """A v3 directory (which also stored the similarity matrix) is refused."""
+        index, _ = _build()
+        save_snapshot(index, tmp_path)
+        _rewrite_as_v3(tmp_path)
+        with pytest.raises(SnapshotVersionError, match="format_version 3"):
             load_snapshot(tmp_path, _similarity())
 
     def test_v2_sharded_layout_is_version_skew(self, tmp_path):

@@ -10,6 +10,7 @@ from repro.core import (
     aggregate_scores,
     filter_and_rank,
 )
+from repro.core.index import ScalarTagIndex
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 
 
@@ -122,12 +123,16 @@ class TestIndex:
         assert 0.0 < degree <= 1.01
 
     def test_invalid_configs(self, similarity):
-        with pytest.raises(ValueError):
-            SubjectiveTagIndex(similarity, theta_index=1.5)
-        with pytest.raises(ValueError):
-            SubjectiveTagIndex(similarity, review_count_mode="sometimes")
-        with pytest.raises(ValueError):
-            SubjectiveTagIndex(similarity, backend="gpu")
+        for index_cls in (SubjectiveTagIndex, ScalarTagIndex):
+            with pytest.raises(ValueError):
+                index_cls(similarity, theta_index=1.5)
+            with pytest.raises(ValueError):
+                index_cls(similarity, review_count_mode="sometimes")
+            with pytest.raises(ValueError):
+                index_cls(similarity, theta_mode="sometimes")
+        # The scalar oracle is its own class, not a production option.
+        with pytest.raises(TypeError):
+            SubjectiveTagIndex(similarity, backend="scalar")
 
     def test_snippet_renders(self, similarity):
         index = SubjectiveTagIndex(similarity)
@@ -150,6 +155,8 @@ class TestIndex:
 class TestVectorizedBackend:
     """The matrix-backed index must agree with the scalar reference oracle."""
 
+    INDEX_CLASSES = {"vectorized": SubjectiveTagIndex, "scalar": ScalarTagIndex}
+
     REVIEWS = {
         "good_place": [["delicious food"], ["tasty food", "nice staff"], ["good food"]],
         "bad_place": [["bland food"], ["tasteless food"]],
@@ -159,7 +166,7 @@ class TestVectorizedBackend:
     INDEX_TAGS = ("delicious food", "good food", "nice staff", "amazing pizza")
 
     def _build(self, similarity, backend, **kwargs):
-        index = SubjectiveTagIndex(similarity, backend=backend, **kwargs)
+        index = self.INDEX_CLASSES[backend](similarity, **kwargs)
         for entity_id, reviews in self.REVIEWS.items():
             _register(index, entity_id, reviews)
         index.build([SubjectiveTag.from_text(t) for t in self.INDEX_TAGS])
@@ -226,8 +233,8 @@ class TestVectorizedBackend:
 
     def test_entities_registered_after_tag_not_backfilled(self, similarity):
         # Mappings are fixed at add_tag time in both backends.
-        for backend in ("vectorized", "scalar"):
-            index = SubjectiveTagIndex(similarity, backend=backend)
+        for index_cls in self.INDEX_CLASSES.values():
+            index = index_cls(similarity)
             _register(index, "early", [["delicious food"]] * 2)
             tag = SubjectiveTag.from_text("delicious food")
             index.add_tag(tag)

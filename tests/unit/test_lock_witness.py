@@ -333,7 +333,7 @@ def test_witness_stress_search_reindex_and_session_churn(monkeypatch):
         def rebuilder():
             try:
                 while not stop.is_set():
-                    runtime.reindex(background=True)
+                    runtime.reindex(full=True)
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 failures.append(exc)
 

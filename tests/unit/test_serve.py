@@ -833,14 +833,43 @@ class TestBackgroundReindex:
         runtime, _ = self._real_runtime()
         with runtime:
             start = runtime.generation
-            response = runtime.reindex(background=True)
-            assert response.background is True
+            response = runtime.reindex(full=True)
             assert response.full is True
             assert response.generation == start + 1
             assert runtime.generation == start + 1
             payload = response.to_payload()
-            assert payload["background"] is True
+            assert payload["full"] is True and payload["background"] is True
             assert runtime.metrics.counter("index.swap") == 1
+            assert runtime.reindex().to_payload()["background"] is False
+
+    def test_search_completes_while_a_full_reindex_is_preparing(self):
+        """The full rebuild's long half leaves the facade lock free: a tag
+        search is answered while the rebuild is held inside prepare."""
+        runtime, dims = self._real_runtime()
+        runtime.config.request_timeout_seconds = 5.0
+        inside, release = threading.Event(), threading.Event()
+        original_prepare = runtime.saccs.prepare_rebuild
+
+        def prepare(*args, **kwargs):
+            inside.set()
+            assert release.wait(10.0)
+            return original_prepare(*args, **kwargs)
+
+        runtime.saccs.prepare_rebuild = prepare
+        with runtime:
+            start = runtime.generation
+            rebuild = threading.Thread(target=lambda: runtime.reindex(full=True), daemon=True)
+            rebuild.start()
+            try:
+                assert inside.wait(10.0)
+                response = runtime.search([dims[0]])
+                assert response.results
+                assert response.generation == start
+            finally:
+                release.set()
+                rebuild.join(10.0)
+            assert not rebuild.is_alive()
+            assert runtime.generation == start + 1
 
     def test_sweep_runs_strictly_after_the_swap(self):
         """Regression: sweeping before the pointer swap leaks cache entries
@@ -862,7 +891,7 @@ class TestBackgroundReindex:
         runtime.cache.sweep = sweep
         with runtime:
             runtime.search([dims[0]])  # seed the old-generation cache
-            response = runtime.reindex(background=True)
+            response = runtime.reindex(full=True)
         assert "commit" in events
         marker = ("sweep", response.generation)
         assert marker in events
@@ -892,7 +921,7 @@ class TestBackgroundReindex:
 
             def rebuild():
                 try:
-                    runtime.reindex(background=True)
+                    runtime.reindex(full=True)
                 except BaseException as exc:  # noqa: BLE001 - surfaced below
                     failures.append(exc)
                 finally:
@@ -923,7 +952,7 @@ class TestBackgroundReindex:
         runtime, dims = self._real_runtime()
         with runtime:
             first = runtime.search([dims[0]])
-            runtime.reindex(background=True)
+            runtime.reindex(full=True)
             second = runtime.search([dims[0]])
             assert second.generation == first.generation + 1
             assert tuple(second.results) == tuple(first.results)
