@@ -89,12 +89,17 @@ class TreePairingHeuristic(PairingHeuristic):
     def pairs(self, tokens, aspect_spans, opinion_spans):
         if not aspect_spans or not opinion_spans:
             return set()
-        # One tree walk per sentence, not one per candidate pair.
-        paths = self.parser.parse(list(tokens)).leaf_paths()
-        out: Set[Pair] = set()
         sources, targets = (
             (aspect_spans, opinion_spans) if self.direction == "aspects" else (opinion_spans, aspect_spans)
         )
+        if len(targets) == 1:
+            # Forced choice: ``min`` over one candidate returns it whatever
+            # its key, so every source links to the only target; no parse.
+            (target,) = targets
+            return {(s, target) if self.direction == "aspects" else (target, s) for s in sources}
+        # One tree walk per sentence, not one per candidate pair.
+        paths = self.parser.parse(list(tokens)).leaf_paths()
+        out: Set[Pair] = set()
         for source in sources:
             best = min(
                 targets,

@@ -27,6 +27,7 @@ from repro.data.templates import (
     realize,
 )
 from repro.text.lexicon import DomainLexicon, OpinionWord
+from repro.utils.rng import weighted_cdf, weighted_index
 
 __all__ = ["AxisSpec", "RealizerConfig", "SentenceRealizer", "axes_from_dimensions", "axes_from_lexicon"]
 
@@ -194,7 +195,7 @@ class SentenceRealizer:
         magnitudes = np.array([abs(op.polarity) for op in pool])
         weights = np.exp(-((magnitudes - strength) ** 2) / 0.08)
         weights /= weights.sum()
-        return pool[self.rng.choice(len(pool), p=weights)]
+        return pool[weighted_index(self.rng, weighted_cdf(weights))]
 
     def _aspect_fill(self, axis: AxisSpec) -> List[str]:
         return self._choice(axis.aspect_surfaces).split()

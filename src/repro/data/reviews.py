@@ -20,7 +20,7 @@ from repro.data.noise import NoiseConfig, apply_noise
 from repro.data.realize import AxisSpec, RealizerConfig, SentenceRealizer, axes_from_dimensions
 from repro.data.schema import Entity, LabeledSentence, Review
 from repro.text.lexicon import restaurant_lexicon
-from repro.utils.rng import SeedSequence
+from repro.utils.rng import SeedSequence, weighted_cdf, weighted_index
 
 __all__ = ["ReviewConfig", "ReviewGenerator"]
 
@@ -51,6 +51,41 @@ class ReviewConfig:
     realizer: RealizerConfig = field(default_factory=RealizerConfig)
     seed: int = 2021
 
+    def __post_init__(self):
+        # Each check is written so that NaN fails it too.
+        if not 0.0 <= self.mean_reviews_per_entity < float("inf"):
+            raise ValueError(
+                f"mean_reviews_per_entity must be finite and >= 0, got {self.mean_reviews_per_entity}"
+            )
+        if self.min_reviews < 0:
+            raise ValueError(f"min_reviews must be >= 0, got {self.min_reviews}")
+        if not 1 <= self.min_sentences <= self.max_sentences:
+            raise ValueError(
+                f"min_sentences must be >= 1 and <= max_sentences, got "
+                f"min_sentences={self.min_sentences}, max_sentences={self.max_sentences}"
+            )
+        for name in (
+            "filler_prob", "aspect_only_prob", "neutral_prob", "two_axis_prob",
+            "contrastive_prob", "polarity_floor", "polarity_ceiling",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
+        # ``_sentence`` compares one roll against these running sums.
+        if self.filler_prob + self.aspect_only_prob + self.neutral_prob > 1.0:
+            raise ValueError("filler_prob + aspect_only_prob + neutral_prob must be <= 1")
+        if self.contrastive_prob + self.two_axis_prob > 1.0:
+            raise ValueError("contrastive_prob + two_axis_prob must be <= 1")
+        if self.polarity_floor > self.polarity_ceiling:
+            raise ValueError(
+                f"polarity_floor must be <= polarity_ceiling, got "
+                f"{self.polarity_floor} > {self.polarity_ceiling}"
+            )
+        # A negative floor makes every weight negative, and normalising flips
+        # the sign: the draw would favour the *least* remarkable aspects.
+        if not 0.0 <= self.salience_floor < float("inf"):
+            raise ValueError(f"salience_floor must be finite and >= 0, got {self.salience_floor}")
+
 
 class ReviewGenerator:
     """Generates review streams for restaurant entities."""
@@ -69,7 +104,8 @@ class ReviewGenerator:
         """All reviews for one entity (deterministic given entity id)."""
         rng = self._seeds.rng(entity.entity_id)
         count = max(self.config.min_reviews, int(rng.poisson(self.config.mean_reviews_per_entity)))
-        return [self._review(entity, rng, i) for i in range(count)]
+        salience = self._salience_cdf(entity)
+        return [self._review(entity, salience, rng, i) for i in range(count)]
 
     def corpus(self, entities: Sequence[Entity]) -> Dict[str, List[Review]]:
         """Reviews for a whole catalog, keyed by entity id."""
@@ -90,20 +126,24 @@ class ReviewGenerator:
         quality = entity.quality_of(axis.name)
         return quality if sign > 0 else 1.0 - quality
 
-    def _sample_axis(self, entity: Entity, rng: np.random.Generator) -> AxisSpec:
-        """Salience-weighted dimension draw (remarkable aspects get written up)."""
+    def _salience_cdf(self, entity: Entity) -> np.ndarray:
+        """CDF of the salience-weighted dimension draw (remarkable aspects get
+        written up); fixed per entity, so built once per entity."""
         weights = np.array(
             [self.config.salience_floor + abs(entity.quality_of(a.name) - 0.5) for a in self.axes]
         )
         weights /= weights.sum()
-        return self.axes[rng.choice(len(self.axes), p=weights)]
+        return weighted_cdf(weights)
 
-    def _review(self, entity: Entity, rng: np.random.Generator, index: int) -> Review:
+    def _sample_axis(self, salience: np.ndarray, rng: np.random.Generator) -> AxisSpec:
+        return self.axes[weighted_index(rng, salience)]
+
+    def _review(self, entity: Entity, salience: np.ndarray, rng: np.random.Generator, index: int) -> Review:
         realizer = SentenceRealizer(self.lexicon, self.axes, self.config.realizer, rng)
         num_sentences = int(rng.integers(self.config.min_sentences, self.config.max_sentences + 1))
         sentences: List[LabeledSentence] = []
         for _ in range(num_sentences):
-            sentences.append(self._sentence(entity, realizer, rng))
+            sentences.append(self._sentence(entity, salience, realizer, rng))
         mentions: Dict[str, float] = {}
         counts: Dict[str, int] = {}
         for sentence in sentences:
@@ -118,7 +158,9 @@ class ReviewGenerator:
             mentions=mentions,
         )
 
-    def _sentence(self, entity: Entity, realizer: SentenceRealizer, rng: np.random.Generator) -> LabeledSentence:
+    def _sentence(
+        self, entity: Entity, salience: np.ndarray, realizer: SentenceRealizer, rng: np.random.Generator
+    ) -> LabeledSentence:
         roll = rng.random()
         if roll < self.config.filler_prob:
             sentence = realizer.filler_sentence()
@@ -127,17 +169,17 @@ class ReviewGenerator:
         elif roll < self.config.filler_prob + self.config.aspect_only_prob + self.config.neutral_prob:
             sentence = realizer.neutral_predicate_sentence()
         else:
-            axis = self._sample_axis(entity, rng)
+            axis = self._sample_axis(salience, rng)
             sign = self._sample_sign(entity, axis, rng)
             strength = self._strength(entity, axis, sign)
             shape_roll = rng.random()
             if shape_roll < self.config.contrastive_prob:
-                other = self._other_axis(entity, axis, rng)
+                other = self._other_axis(salience, axis, rng)
                 sentence = realizer.contrastive_sentence(
                     axis, sign, other, self._sample_sign(entity, other, rng)
                 )
             elif shape_roll < self.config.contrastive_prob + self.config.two_axis_prob:
-                other = self._other_axis(entity, axis, rng)
+                other = self._other_axis(salience, axis, rng)
                 other_sign = self._sample_sign(entity, other, rng)
                 sentence = realizer.subjective_sentence(
                     [
@@ -149,9 +191,9 @@ class ReviewGenerator:
                 sentence = realizer.subjective_sentence([(axis, sign, strength)])
         return apply_noise(sentence, self.config.noise, rng)
 
-    def _other_axis(self, entity: Entity, axis: AxisSpec, rng: np.random.Generator) -> AxisSpec:
+    def _other_axis(self, salience: np.ndarray, axis: AxisSpec, rng: np.random.Generator) -> AxisSpec:
         for _ in range(8):
-            other = self._sample_axis(entity, rng)
+            other = self._sample_axis(salience, rng)
             if other.name != axis.name:
                 return other
         candidates = [a for a in self.axes if a.name != axis.name]

@@ -11,10 +11,11 @@ existing one.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-__all__ = ["SeedSequence", "derive_rng", "derive_seed", "new_rng"]
+__all__ = ["SeedSequence", "derive_rng", "derive_seed", "new_rng", "weighted_cdf", "weighted_index"]
 
 
 def derive_seed(parent_seed: int, label: str) -> int:
@@ -36,6 +37,37 @@ def new_rng(seed: int) -> np.random.Generator:
 def derive_rng(parent_seed: int, label: str) -> np.random.Generator:
     """Create a generator whose stream is keyed by ``(parent_seed, label)``."""
     return new_rng(derive_seed(parent_seed, label))
+
+
+def weighted_cdf(p: np.ndarray) -> np.ndarray:
+    """The normalised CDF that ``Generator.choice(len(p), p=p)`` draws from.
+
+    Same arithmetic as ``choice`` (``cdf = p.cumsum(); cdf /= cdf[-1]``), so
+    for weights that sum to 1, as ``choice`` requires, :func:`weighted_index`
+    over it returns ``choice``'s index.  Build it once and draw from it many
+    times when the weights repeat.  Raises ``ValueError`` on weights that
+    ``choice`` also rejects: negative or NaN entries, a zero or infinite sum.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"weights must be a non-empty 1-D array, got shape {p.shape}")
+    if not p.min() >= 0.0:  # also false when an entry is NaN
+        raise ValueError("weights must be non-negative and not NaN")
+    cdf = p.cumsum()
+    if not 0.0 < cdf[-1] < math.inf:
+        raise ValueError(f"weights must have a positive, finite sum, got {cdf[-1]}")
+    cdf /= cdf[-1]
+    return cdf
+
+
+def weighted_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """Draw an index from a :func:`weighted_cdf`.
+
+    Consumes exactly one ``rng.random()``, as ``Generator.choice`` does, and
+    returns the index ``choice`` would: the stream stays where ``choice``
+    would leave it, without ``choice``'s per-call argument checks.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class SeedSequence:

@@ -1,16 +1,19 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SubjectiveTag, aggregate_scores, filter_and_rank
+from repro.core import SubjectiveTag, TreePairingHeuristic, aggregate_scores, filter_and_rank
 from repro.core.filtering import FilterConfig
 from repro.nn.crf import LinearChainCRF
 from repro.nn.tensor import Tensor
-from repro.text import ConceptualSimilarity, restaurant_lexicon
+from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 from repro.text.labels import LABELS, labels_to_spans, spans_to_labels
+from repro.text.tree import ParseNode
 from repro.utils.numerics import logsumexp, sigmoid, softmax
+from repro.utils.rng import weighted_cdf, weighted_index
 from repro.weak import ABSTAIN, MajorityVoteModel
 
 # ---------------------------------------------------------------------------
@@ -386,4 +389,112 @@ def test_default_decode_is_the_batch_path(case):
     crf.end.data[...] = end
     assert crf.decode(emissions, mask=mask, beam=beam) == crf.decode_batch(
         emissions, mask=mask, beam=beam
+    )
+
+
+# ---------------------------------------------------------------------------
+# weighted draws ≡ Generator.choice
+# ---------------------------------------------------------------------------
+
+positive_weights = st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=20)
+
+
+@settings(deadline=None, max_examples=200)
+@given(positive_weights, st.integers(min_value=0, max_value=2**63 - 1))
+def test_weighted_index_is_generator_choice(weights, seed):
+    """Same index as ``choice(len(p), p=p)``, and the stream left in the same place."""
+    p = np.array(weights)
+    p /= p.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = weighted_cdf(p)
+    for _ in range(3):
+        assert weighted_index(ours, cdf) == theirs.choice(len(p), p=p)
+        assert ours.random() == theirs.random()
+
+
+@given(positive_weights, st.data())
+def test_weighted_cdf_rejects_what_choice_rejects(weights, data):
+    position = data.draw(st.integers(min_value=0, max_value=len(weights) - 1))
+    bad = data.draw(
+        st.one_of(
+            # small enough that the sum usually stays positive
+            st.floats(min_value=-1.0, max_value=-1e-6),
+            st.floats(max_value=-1e-6, allow_infinity=False),
+            st.just(float("nan")),
+            st.just(float("inf")),
+        )
+    )
+    weights = list(weights)
+    weights[position] = bad
+    p = np.array(weights)
+    for candidate in (p, np.zeros_like(p)):
+        with pytest.raises(ValueError):
+            weighted_cdf(candidate)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(candidate), p=candidate)
+
+
+@pytest.mark.parametrize(
+    "weights", [[0.5, -0.1, 0.6], [0.5, float("nan"), 0.5], [0.0, 0.0], [float("inf"), 1.0]]
+)
+def test_weighted_cdf_rejects_bad_weights(weights):
+    with pytest.raises(ValueError):
+        weighted_cdf(np.array(weights))
+
+
+# ---------------------------------------------------------------------------
+# forced tree pairing ≡ a reference that always parses
+# ---------------------------------------------------------------------------
+
+_PAIRING_PARSER = ChunkParser(PosLexicon(restaurant_lexicon()))
+_PAIRING_WORDS = "the food staff decor was is friendly good slow and but , very not prices cheap .".split()
+
+
+def _always_parse_pairs(direction, tokens, aspects, opinions):
+    """``TreePairingHeuristic.pairs`` as it was before the forced-choice shortcut."""
+    if not aspects or not opinions:
+        return set()
+    paths = _PAIRING_PARSER.parse(list(tokens)).leaf_paths()
+    sources, targets = (aspects, opinions) if direction == "aspects" else (opinions, aspects)
+
+    def center(span):
+        return (span[0] + span[1] - 1) / 2.0
+
+    out = set()
+    for source in sources:
+        best = min(
+            targets,
+            key=lambda t: (
+                ParseNode.path_distance(paths[source[1] - 1], paths[t[1] - 1]),
+                abs(center(t) - center(source)),
+                t,
+            ),
+        )
+        out.add((source, best) if direction == "aspects" else (best, source))
+    return out
+
+
+@st.composite
+def span_sets(draw):
+    """A sentence cut into runs of O tokens, aspect spans and opinion spans."""
+    tokens, aspects, opinions = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["O", "A", "P"]))
+        length = draw(st.integers(min_value=1, max_value=3))
+        span = (len(tokens), len(tokens) + length)
+        tokens.extend(draw(st.lists(st.sampled_from(_PAIRING_WORDS), min_size=length, max_size=length)))
+        if kind == "A":
+            aspects.append(span)
+        elif kind == "P":
+            opinions.append(span)
+    return tokens, aspects, opinions
+
+
+@settings(deadline=None, max_examples=150)
+@given(span_sets(), st.sampled_from(["aspects", "opinions"]))
+def test_tree_pairing_matches_always_parse_reference(case, direction):
+    tokens, aspects, opinions = case
+    heuristic = TreePairingHeuristic(_PAIRING_PARSER, direction=direction)
+    assert heuristic.pairs(tokens, aspects, opinions) == _always_parse_pairs(
+        direction, tokens, aspects, opinions
     )

@@ -171,6 +171,33 @@ class TestHeuristics:
         staff_links = {pair for pair in from_opinions if pair[0] == (1, 2)}
         assert len(staff_links) == 3
 
+    @pytest.mark.parametrize(
+        "direction, sentence, aspects, opinions, expected",
+        [
+            (
+                "opinions",
+                "the staff is friendly , helpful and professional .",
+                [(1, 2)],
+                [(3, 4), (5, 6), (7, 8)],
+                {((1, 2), (3, 4)), ((1, 2), (5, 6)), ((1, 2), (7, 8))},
+            ),
+            (
+                "aspects",
+                "the staff and the decor are lovely .",
+                [(1, 2), (4, 5)],
+                [(6, 7)],
+                {((1, 2), (6, 7)), ((4, 5), (6, 7))},
+            ),
+        ],
+    )
+    def test_one_target_pairs_without_parsing(self, direction, sentence, aspects, opinions, expected):
+        class RaisingParser:
+            def parse(self, tokens):
+                raise AssertionError("a forced pairing must not parse")
+
+        heuristic = TreePairingHeuristic(RaisingParser(), direction=direction)
+        assert heuristic.pairs(sentence.split(), aspects, opinions) == expected
+
     def test_empty_spans_yield_no_pairs(self):
         assert TreePairingHeuristic(PARSER).pairs(["hello"], [], []) == set()
         assert WordDistanceHeuristic().pairs(["hello"], [], []) == set()

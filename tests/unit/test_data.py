@@ -11,6 +11,7 @@ from repro.data import (
     LabeledSentence,
     NoiseConfig,
     Review,
+    ReviewConfig,
     WorldConfig,
     apply_noise,
     build_pairing_dataset,
@@ -167,6 +168,35 @@ class TestWorldAndReviews:
         ranking = world.ideal_ranking(["delicious food"])
         qualities = [world.entity_index[e].quality_of("delicious food") for e in ranking]
         assert qualities == sorted(qualities, reverse=True)
+
+
+class TestReviewConfig:
+    def test_defaults_and_world_configs_are_valid(self):
+        ReviewConfig()
+        WorldConfig.small(num_entities=60, mean_reviews=12.0)
+
+    @pytest.mark.parametrize(
+        "field, changes",
+        [
+            # used to build a world: normalising all-negative weights flips
+            # their sign, so the draw favoured the least remarkable aspects
+            ("salience_floor", {"salience_floor": -1.0}),
+            ("salience_floor", {"salience_floor": float("nan")}),
+            ("min_sentences", {"min_sentences": 5, "max_sentences": 4}),
+            ("min_sentences", {"min_sentences": 0}),
+            ("filler_prob", {"filler_prob": 1.5}),
+            ("contrastive_prob", {"contrastive_prob": -0.1}),
+            ("polarity_ceiling", {"polarity_ceiling": float("nan")}),
+            ("neutral_prob", {"filler_prob": 0.5, "aspect_only_prob": 0.3, "neutral_prob": 0.3}),
+            ("two_axis_prob", {"contrastive_prob": 0.6, "two_axis_prob": 0.6}),
+            ("polarity_floor", {"polarity_floor": 0.9, "polarity_ceiling": 0.1}),
+            ("mean_reviews_per_entity", {"mean_reviews_per_entity": -1.0}),
+            ("min_reviews", {"min_reviews": -1}),
+        ],
+    )
+    def test_invalid_config_names_the_field(self, field, changes):
+        with pytest.raises(ValueError, match=field):
+            ReviewConfig(**changes)
 
 
 class TestCrowd:
