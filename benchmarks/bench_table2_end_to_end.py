@@ -93,7 +93,7 @@ def experiment():
     )
 
     # One extraction pass shared by all three SACCS index sizes: every
-    # variant ingests through ``base``'s engine, whose content-hash cache
+    # variant ingests through ``base``'s engine, whose content-hash memo
     # answers each review after the first pass.
     base = Saccs(world.entities, world.reviews, extractor, similarity, SaccsConfig())
     saccs_variants = {}

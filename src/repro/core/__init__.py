@@ -14,11 +14,7 @@ from repro.core.evaluation import (
     classification_report,
     span_f1,
 )
-from repro.core.extraction_engine import (
-    ExtractionCache,
-    ExtractionEngine,
-    ExtractionEngineConfig,
-)
+from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import (
     ClassifierPairer,
     HeuristicPairer,
@@ -71,9 +67,7 @@ __all__ = [
     "ClassifierPairer",
     "ConversationSession",
     "DialogSystem",
-    "ExtractionCache",
     "ExtractionEngine",
-    "ExtractionEngineConfig",
     "FakeReviewFilter",
     "FilterConfig",
     "FraudFilterConfig",

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.conversation.classify import ROUTE_SUBJECTIVE, ParsedUtterance
 from repro.core.dialog import DialogSystem
-from repro.core.extraction_engine import ExtractionEngine, ExtractionEngineConfig
+from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import OracleExtractor, TagExtractor
 from repro.core.fraud import FakeReviewFilter
 from repro.core.filtering import FilterConfig, filter_and_rank
@@ -60,11 +60,10 @@ class SaccsConfig:
     backfill: bool = True
     review_count_mode: str = "matched"
     theta_mode: str = "static"
-    #: sentences per extraction length bucket (one encoder forward each).
-    extraction_batch_sentences: int = 64
     #: encoder precision for the tape-free fused inference path used by
     #: bucketed extraction: ``"float64"`` (bitwise-identical default) or
-    #: ``"float32"`` (tolerance-bounded, faster).
+    #: ``"float32"`` (tolerance-bounded, faster).  The only extraction
+    #: setting; an unknown value fails when :class:`Saccs` builds its engine.
     encoder_precision: str = "float64"
     #: The tag index is one unsharded index with in-line lookups, so each
     #: of these accepts only its default.  They remain as fields because
@@ -84,12 +83,6 @@ class SaccsConfig:
             top_k=self.top_k,
             mode=self.mode,
             backfill=self.backfill,
-        )
-
-    def extraction_config(self) -> ExtractionEngineConfig:
-        return ExtractionEngineConfig(
-            batch_sentences=self.extraction_batch_sentences,
-            encoder_precision=self.encoder_precision,
         )
 
 
@@ -116,10 +109,10 @@ class Saccs:
         #: reviews are dropped before extraction.
         self.review_filter = review_filter
         #: the corpus-wide batched extraction pass (buckets, pairing,
-        #: content-hash cache).  Served utterances and session turns are
-        #: extracted through it too, so they share its tagger lock and
-        #: precision, and ``/metrics`` sees its counters.
-        self.extraction_engine = ExtractionEngine(extractor, self.config.extraction_config())
+        #: content-hash memo).  :meth:`answer`, served utterances and
+        #: session turns are extracted through it too, so they share its
+        #: tagger lock and precision, and ``/metrics`` sees its counters.
+        self.extraction_engine = ExtractionEngine(extractor, self.config.encoder_precision)
         self.user_tag_history: List[SubjectiveTag] = []
         #: monotonically increasing counter, bumped by every indexing round
         #: (including :meth:`build_index`).  Serving layers stamp cached
@@ -145,7 +138,7 @@ class Saccs:
 
         The whole corpus goes through the :class:`ExtractionEngine` —
         sentences from all entities flattened, length-bucketed, batch-tagged
-        and paired, with per-review results cached by content hash.  Its
+        and paired, with per-review results memoised by content hash.  Its
         output equals one ``extractor.extract_review`` call per review (the
         oracle the extraction tests build their reference index from).
         """
@@ -196,10 +189,11 @@ class Saccs:
 
         The full rebuild's first half, for corpus edits: pass the new
         ``reviews`` mapping (or ``None`` to re-read the current one) and the
-        extraction engine's content-hash cache re-tags only new or edited
-        reviews.  Extraction and degree computation run against a *fresh*
-        index object while :attr:`index` keeps serving; nothing a reader can
-        observe changes until :meth:`commit_rebuild` swaps the result in.
+        extraction engine's content-hash memo re-tags only new or edited
+        reviews; an unchanged corpus makes no tagger call.  Extraction and
+        degree computation run against a *fresh* index object while
+        :attr:`index` keeps serving; nothing a reader can observe changes
+        until :meth:`commit_rebuild` swaps the result in.
         Concurrent-serving callers snapshot ``indexed_tags`` under their own
         lock before calling and hold that lock only for the swap.
 
@@ -360,7 +354,9 @@ class Saccs:
     def answer(self, utterance: str) -> List[Tuple[str, float]]:
         """Full conversational path for a natural-language utterance.
 
-        Only subjective turns reach the extractor; objective and chitchat
+        Only subjective turns reach the extraction engine (at the configured
+        encoder precision, under its tagger lock — the same call
+        ``SaccsRuntime.search_utterance`` makes); objective and chitchat
         turns rank their slot-filtered API list with no tag sets.
         """
         if not isinstance(self.extractor, TagExtractor):
@@ -369,5 +365,9 @@ class Saccs:
                 "gold labels for arbitrary utterances); use answer_tags()"
             )
         parsed, api_ids = self.understand(utterance)
-        tags = self.extractor.extract(parsed.tokens) if parsed.route == ROUTE_SUBJECTIVE else []
+        tags = (
+            self.extraction_engine.extract_token_lists([parsed.tokens])[0]
+            if parsed.route == ROUTE_SUBJECTIVE
+            else []
+        )
         return self.answer_many([tags], [api_ids])[0]

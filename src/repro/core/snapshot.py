@@ -4,8 +4,8 @@ A snapshot is a directory holding ``index.npz`` (the CSR occurrence arrays,
 vocabulary and degree-of-truth matrix from
 :meth:`SubjectiveTagIndex.snapshot_arrays`) and a ``manifest.json``
 recording the index configuration, the indexed tag list, and the file's
-sha256 — the same content-hash keying the ``ExtractionCache`` uses for
-review extractions, extended to index records.  ``repro index build --out``
+sha256 — the same content-hash keying the extraction engine's memo uses
+for review extractions, extended to index records.  ``repro index build --out``
 writes one, ``repro search --index`` reads it, and ``repro serve
 --snapshot-dir`` warm-starts from one in seconds instead of re-extracting
 the corpus.

@@ -49,6 +49,13 @@ __all__ = ["SaccsHttpServer", "make_handler"]
 #: request bodies larger than this are rejected outright (serving bound).
 MAX_BODY_BYTES = 64 * 1024
 
+#: seconds a connection's socket may sit in one read or write.  A client
+#: that stops mid-request frees its handler thread after this long: an idle
+#: keep-alive connection is closed (the stdlib's own handling), a body cut
+#: short is answered 408 and closed.  Far above the gaps between requests
+#: on a live keep-alive connection, which are well under a second.
+SOCKET_TIMEOUT_S = 60.0
+
 _SAY_PATH = re.compile(r"^/session/(?P<session_id>[A-Za-z0-9._~-]{1,128})/say$")
 
 _TRACE_PATH = re.compile(r"^/debug/trace/(?P<trace_id>[A-Za-z0-9._-]{1,64})$")
@@ -126,6 +133,8 @@ def make_handler(runtime: SaccsRuntime):
         # default, HTTP/1.0, closes after every response), so a client pays
         # the TCP handshake once per connection, not once per turn.
         protocol_version = "HTTP/1.1"
+        # StreamRequestHandler.setup applies this to the connection's socket.
+        timeout = SOCKET_TIMEOUT_S
 
         # ------------------------------------------------------------ plumbing
 
@@ -188,7 +197,16 @@ def make_handler(runtime: SaccsRuntime):
                 raise ProtocolError(
                     f"request body over {MAX_BODY_BYTES} bytes", status=413, code="too_large"
                 )
-            raw = self.rfile.read(length) if length else b""
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                # The client stopped sending mid-body: its fault, not ours.
+                # The body stays unread, so _send_json closes the connection.
+                raise ProtocolError(
+                    f"request body not received within {self.timeout:g} s",
+                    status=408,
+                    code="request_timeout",
+                ) from None
             self._body_read = True
             if not raw:
                 raise ProtocolError("empty request body")

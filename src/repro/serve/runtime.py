@@ -207,8 +207,8 @@ class SaccsRuntime:
         #: sha256 of the snapshot this runtime warm-started from (None when
         #: cold-built), surfaced on /healthz and /metrics.
         self.snapshot_hash: Optional[str] = None
-        # Surface the extraction engine's cache hit/miss counters through
-        # this runtime's /metrics (extract.cache.{hit,miss} → ratio rollup).
+        # Surface the extraction engine's counters (extract.batches,
+        # extract.sentences) through this runtime's /metrics.
         saccs.extraction_engine.bind_metrics(self.metrics)
         self._queue: "queue.Queue" = queue.Queue()
         self._threads: List[threading.Thread] = []
@@ -433,9 +433,9 @@ class SaccsRuntime:
         index *double-buffered* (:meth:`_rebuild`): the replacement is
         built while searches keep hitting the live index, and only the
         pointer swap plus the history fold take the facade lock.  The
-        extraction engine's content-hash cache makes the re-extraction
-        incremental — only new or edited reviews are re-tagged, and the
-        hit/miss counters land in this runtime's ``/metrics``.  The caller
+        extraction engine's content-hash memo makes the re-extraction
+        incremental — only new or edited reviews are re-tagged (an unchanged
+        corpus adds nothing to ``extract.sentences``).  The caller
         blocks until the swap lands (the response needs the new generation).
         """
         self.metrics.incr("requests.reindex")
@@ -526,7 +526,7 @@ class SaccsRuntime:
             # which fused inference precision utterance extraction runs at
             # (serving caches are keyed per generation, never per precision,
             # so operators need this visible when comparing deployments).
-            "encoder_precision": self.saccs.extraction_engine.config.encoder_precision,
+            "encoder_precision": self.saccs.extraction_engine.precision,
         }
 
     def metrics_snapshot(self) -> Dict[str, object]:

@@ -22,14 +22,13 @@ from repro.utils.numerics import (
     stable_log,
 )
 from repro.utils.rng import SeedSequence, derive_rng, derive_seed, new_rng
-from repro.utils.timing import StageTimings, Timer
+from repro.utils.timing import StageTimings
 
 __all__ = [
     "ArtifactCache",
     "LockWitness",
     "SeedSequence",
     "StageTimings",
-    "Timer",
     "TrackedLock",
     "default_cache",
     "derive_rng",

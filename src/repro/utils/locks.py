@@ -69,7 +69,6 @@ CANONICAL_ORDER: Tuple[str, ...] = (
     # Taken by the attention pairing heuristic while pairing, which runs
     # after tagging and outside the tagger lock.
     "bert.encoder.attention",
-    "core.extract.cache",
     "serve.cache",
     # The collector holds its sampling lock across metrics.collect(), the
     # time-series append and the SLO ingest, so it sits above all three.

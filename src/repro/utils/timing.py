@@ -1,8 +1,7 @@
-"""Tiny wall-clock timer used by benchmarks and training loops."""
+"""Named wall-clock stage spans for multi-stage pipelines."""
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
@@ -10,39 +9,7 @@ from typing import Dict, Iterator, Optional
 from repro.obs import tracing as _tracing
 from repro.utils.locks import make_lock
 
-__all__ = ["Timer", "StageTimings"]
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    Re-entry is tolerated — each ``__enter__`` restarts the clock — but an
-    ``__exit__`` without a matching ``__enter__`` raises (a real error, not
-    an ``assert`` that ``python -O`` would strip).
-
-    >>> with Timer() as t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self, label: str = ""):
-        self.label = label
-        self.start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.start is None:
-            raise RuntimeError("Timer.__exit__ without a matching __enter__")
-        self.elapsed = time.perf_counter() - self.start
-        self.start = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self.label!r}, elapsed={self.elapsed:.3f}s)"
+__all__ = ["StageTimings"]
 
 
 class StageTimings:

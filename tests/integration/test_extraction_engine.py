@@ -1,7 +1,7 @@
 """Integration tests: batched extraction ≡ sequential on the neural stack.
 
 The acceptance bar for the extraction engine: on a seeded world with a real
-(BERT→BiLSTM→CRF) extractor, bucketed/parallel/cached extraction must
+(BERT→BiLSTM→CRF) extractor, bucketed, memoised extraction must
 produce exactly the same ``SubjectiveTag`` lists per review — and hence a
 bit-identical index — as the sequential per-review oracle.
 """
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.bert import PretrainPlan, pretrained_encoder
+from repro.core import extraction_engine
 from repro.core import (
     ExtractionEngine,
-    ExtractionEngineConfig,
     HeuristicPairer,
     Saccs,
     SaccsConfig,
@@ -58,18 +58,24 @@ def flat_reviews(world):
     return [review for reviews in world.reviews.values() for review in reviews]
 
 
+def extract_flat(engine, reviews):
+    """One corpus pass over ``reviews`` as a single entity's review list."""
+    return engine.extract_corpus([("all", reviews)])[0][1]
+
+
 class TestEngineEquivalence:
-    def test_bucketed_matches_sequential(self, extractor, flat_reviews):
+    def test_bucketed_matches_sequential(self, extractor, flat_reviews, monkeypatch):
         # Tiny buckets force sentences from different reviews to share forwards.
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=5))
+        monkeypatch.setattr(extraction_engine, "BUCKET_SENTENCES", 5)
+        engine = ExtractionEngine(extractor)
         expected = [extractor.extract_review(review) for review in flat_reviews]
-        assert engine.extract_reviews(flat_reviews) == expected
+        assert extract_flat(engine, flat_reviews) == expected
         # Multiset equality per review follows from list equality, but state
         # it explicitly — it is the acceptance criterion.
-        for got, want in zip(engine.extract_reviews(flat_reviews), expected):
+        for got, want in zip(extract_flat(engine, flat_reviews), expected):
             assert sorted(t.text for t in got) == sorted(t.text for t in want)
 
-    def test_saccs_bucketed_index_is_bit_identical(self, world, extractor):
+    def test_saccs_bucketed_index_is_bit_identical(self, world, extractor, monkeypatch):
         similarity = ConceptualSimilarity(restaurant_lexicon())
         tags = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
         # The oracle: one extractor call per review, registered in order.
@@ -83,16 +89,14 @@ class TestEngineEquivalence:
                 ],
             )
         sequential.build(tags)
-        bucketed = Saccs(
-            world.entities, world.reviews, extractor, similarity,
-            SaccsConfig(extraction_batch_sentences=16),
-        )
+        monkeypatch.setattr(extraction_engine, "BUCKET_SENTENCES", 16)
+        bucketed = Saccs(world.entities, world.reviews, extractor, similarity, SaccsConfig())
         bucketed.build_index(tags)
         assert bucketed.index._entity_tags == sequential._entity_tags
         for tag in tags:
             assert bucketed.index.lookup(tag) == sequential.lookup(tag)
 
-    def test_repeated_sentences_are_tagged_once(self, extractor, flat_reviews):
+    def test_repeated_sentences_are_tagged_once(self, extractor, flat_reviews, monkeypatch):
         base = flat_reviews[:6]
         echoed = base[0].sentences[0]
         reviews = list(base) + [
@@ -106,17 +110,18 @@ class TestEngineEquivalence:
                    sentences=[echoed, *base[1].sentences, echoed]),
         ]
         metrics = MetricsRegistry()
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=4),
-                                  metrics=metrics)
-        assert engine.extract_reviews(reviews) == [
+        monkeypatch.setattr(extraction_engine, "BUCKET_SENTENCES", 4)
+        engine = ExtractionEngine(extractor, metrics=metrics)
+        assert extract_flat(engine, reviews) == [
             extractor.extract_review(review) for review in reviews
         ]
         distinct = {tuple(s.tokens) for review in reviews for s in review.sentences}
         total = sum(len(review.sentences) for review in reviews)
         assert metrics.counter("extract.sentences") == len(distinct) < total
 
-    def test_utterance_batch_matches_single_extract(self, extractor):
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=3))
+    def test_utterance_batch_matches_single_extract(self, extractor, monkeypatch):
+        monkeypatch.setattr(extraction_engine, "BUCKET_SENTENCES", 3)
+        engine = ExtractionEngine(extractor)
         utterances = [
             "the food is delicious".split(),
             "i want a place with friendly staff and good pasta".split(),
@@ -132,20 +137,27 @@ class TestIncrementalReingest:
         similarity = ConceptualSimilarity(restaurant_lexicon())
         tags = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
         saccs = Saccs(world.entities, world.reviews, extractor, similarity, SaccsConfig())
+        metrics = MetricsRegistry()
+        saccs.extraction_engine.bind_metrics(metrics)
         saccs.build_index(tags)
-        cache = saccs.extraction_engine.cache
         total = sum(len(reviews) for reviews in world.reviews.values())
-        hits0, misses0 = cache.hits, cache.misses
-        assert hits0 + misses0 == total
+        assert len(saccs.extraction_engine.memo) <= total
+        batches0 = metrics.counter("extract.batches")
+        sentences0 = metrics.counter("extract.sentences")
+        assert batches0 > 0
+        live = {tag: saccs.index.lookup(tag) for tag in tags}
 
-        # Unchanged corpus: every review hits, nothing is re-tagged.
+        # Unchanged corpus: no tagger call, and the rebuilt index ranks like
+        # the live one.
         generation = saccs.index_generation
         saccs.commit_rebuild(saccs.prepare_rebuild())
-        assert cache.hits == hits0 + total
-        assert cache.misses == misses0
+        assert metrics.counter("extract.batches") == batches0
+        assert metrics.counter("extract.sentences") == sentences0
         assert saccs.index_generation == generation + 1
+        assert {tag: saccs.index.lookup(tag) for tag in tags} == live
 
-        # Edit one review (swap in an edited copy): exactly one new miss.
+        # Edit one review (swap in an edited copy): only its sentences are
+        # re-tagged.
         from repro.data.schema import LabeledSentence, Review
 
         entity_id = world.entities[0].entity_id
@@ -158,9 +170,10 @@ class TestIncrementalReingest:
         )
         updated = dict(world.reviews)
         updated[entity_id] = [edited] + list(world.reviews[entity_id][1:])
-        misses_before = cache.misses
         saccs.commit_rebuild(saccs.prepare_rebuild(updated))
-        assert cache.misses == misses_before + 1
+        distinct = {tuple(sentence.tokens) for sentence in edited.sentences}
+        assert metrics.counter("extract.sentences") == sentences0 + len(distinct)
+        assert saccs.index._entity_tags[entity_id][0] == extractor.extract_review(edited)
 
 
 class TestRuntimeUtteranceBatching:
@@ -205,10 +218,11 @@ class TestRuntimeUtteranceBatching:
         assert list(again.results) == list(first.results)
 
     def test_full_reindex_reuses_the_extraction_cache(self, runtime):
-        total = sum(len(r) for r in runtime.saccs.reviews.values())
-        hits_before = runtime.saccs.extraction_engine.cache.hits
+        memo = runtime.saccs.extraction_engine.memo
+        sentences_before = runtime.metrics.counter("extract.sentences")
         response = runtime.reindex(full=True)
         assert response.full
-        assert runtime.saccs.extraction_engine.cache.hits == hits_before + total
-        assert runtime.metrics.counter("extract.cache.hit") >= total
+        # Every review came from the memo: the tagger saw nothing.
+        assert runtime.metrics.counter("extract.sentences") == sentences_before
+        assert runtime.saccs.extraction_engine.memo == memo
 

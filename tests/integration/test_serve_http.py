@@ -7,6 +7,7 @@ including across an ``/admin/reindex`` generation bump (no stale cache may
 survive the index moving).
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -34,6 +35,7 @@ from repro.bert import PretrainPlan, pretrained_encoder
 from repro.conversation import KIND_ASPECT
 from repro.data import WorldConfig, build_tagging_dataset, build_world
 from repro.serve import SaccsHttpServer, SaccsRuntime, ServeConfig
+from repro.serve import http as serve_http
 from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.protocol import SayResponse
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
@@ -388,6 +390,94 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{server.url}/admin/reindex", body)
         assert excinfo.value.code == 400
+
+
+def _handler_threads() -> int:
+    """Live per-connection threads of any ``ThreadingHTTPServer``."""
+    return sum(
+        "process_request_thread" in thread.name for thread in threading.enumerate()
+    )
+
+
+def _wait_for_handlers(at_most: int, deadline: float) -> int:
+    stop = time.monotonic() + deadline
+    while _handler_threads() > at_most and time.monotonic() < stop:
+        time.sleep(0.02)
+    return _handler_threads()
+
+
+class TestSlowClients:
+    """A client that stops mid-request must not pin a handler thread."""
+
+    TIMEOUT_S = 0.5
+
+    @pytest.fixture(scope="class")
+    def server(self, world):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serve_http, "SOCKET_TIMEOUT_S", self.TIMEOUT_S)
+            runtime = SaccsRuntime(_oracle_saccs(world), ServeConfig(cache_size=64))
+            with SaccsHttpServer(runtime) as server:
+                yield server
+
+    def test_half_sent_bodies_time_out_as_client_errors(self, server):
+        counters = _get(f"{server.url}/metrics")["counters"]
+        client_errors = counters.get("errors.client", 0)
+        server_errors = counters.get("errors.server", 0)
+        baseline = _wait_for_handlers(0, deadline=5.0)
+        socks = [
+            socket.create_connection((server.host, server.port), timeout=5.0)
+            for _ in range(5)
+        ]
+        try:
+            for sock in socks:
+                sock.sendall(
+                    b"POST /search HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 100\r\n\r\n" + b"x" * 10
+                )
+            deadline = time.monotonic() + 2.0
+            while _handler_threads() < baseline + 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _handler_threads() == baseline + 5
+            replies = [_read_responses(sock) for sock in socks]
+        finally:
+            for sock in socks:
+                sock.close()
+        for responses in replies:
+            assert [response[0] for response in responses] == [408]
+            _, headers, payload = responses[0]
+            assert headers["connection"] == "close"
+            assert json.loads(payload)["error"]["code"] == "request_timeout"
+        assert _wait_for_handlers(baseline, deadline=5.0) == baseline
+        counters = _get(f"{server.url}/metrics")["counters"]
+        assert counters.get("errors.client", 0) == client_errors + 5
+        assert counters.get("errors.server", 0) == server_errors
+
+    def test_stalled_headers_free_the_thread(self, server):
+        baseline = _wait_for_handlers(0, deadline=5.0)
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(b"POST /search HTTP/1.1\r\nHost: test\r\n")
+            # The stdlib closes the connection without a response.
+            assert _read_responses(sock) == []
+        assert _wait_for_handlers(baseline, deadline=5.0) == baseline
+
+    def test_keep_alive_client_is_unaffected(self, server):
+        body = json.dumps({"tags": ["delicious food"]})
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+        try:
+            statuses = []
+            for _ in range(3):
+                conn.request("POST", "/search", body=body)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+                if len(statuses) == 1:
+                    sock = conn.sock
+                # Idle well inside the timeout between requests.
+                time.sleep(self.TIMEOUT_S / 5)
+            assert statuses == [200, 200, 200]
+            assert conn.sock is sock  # one connection served all three
+        finally:
+            conn.close()
 
 
 class TestSessionsOverHttp:

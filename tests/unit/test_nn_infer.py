@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from repro.bert import PretrainPlan, pretrained_encoder
-from repro.core import SequenceTagger, TaggerTrainer, TaggerTrainingConfig
-from repro.core.extraction_engine import ExtractionEngineConfig
+from repro.core import (
+    ExtractionEngine,
+    OracleExtractor,
+    SequenceTagger,
+    TaggerTrainer,
+    TaggerTrainingConfig,
+)
 from repro.data import build_tagging_dataset
 from repro.nn import (
     InferenceModel,
@@ -109,7 +114,7 @@ class TestExport:
         with pytest.raises(ValueError):
             tagger.inference_model("bfloat16")
         with pytest.raises(ValueError):
-            ExtractionEngineConfig(encoder_precision="fp8")
+            ExtractionEngine(OracleExtractor(), "fp8")
 
 
 # ------------------------------------------------------------------- forward

@@ -24,7 +24,7 @@ from repro.obs import (
     trace_summary,
     tracing,
 )
-from repro.utils.timing import StageTimings, Timer
+from repro.utils.timing import StageTimings
 
 
 class TickClock:
@@ -366,19 +366,6 @@ class TestStructuredLogger:
 
 
 class TestTimingShims:
-    def test_timer_exit_without_enter_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().__exit__(None, None, None)
-
-    def test_timer_reentry_restarts(self):
-        timer = Timer("t")
-        with timer:
-            pass
-        first = timer.elapsed
-        with timer:
-            pass
-        assert timer.elapsed >= 0.0 and first >= 0.0
-
     def test_stage_timings_absorb_into_active_trace(self):
         tracer = make_tracer()
         timings = StageTimings(span_prefix="extract.")

@@ -403,10 +403,7 @@ class TestServeConfig:
 
 
 class _StubExtractionEngine:
-    def __init__(self):
-        from repro.core.extraction_engine import ExtractionEngineConfig
-
-        self.config = ExtractionEngineConfig()
+    precision = "float64"
 
     def bind_metrics(self, metrics):
         self.metrics = metrics

@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils: rng trees, caching, numerics, timing."""
+"""Unit tests for repro.utils: rng trees, caching, numerics."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.nn import Linear, load_module, save_module
 from repro.utils import (
     ArtifactCache,
     SeedSequence,
-    Timer,
     derive_rng,
     derive_seed,
     fingerprint,
@@ -101,13 +100,6 @@ class TestNumerics:
 
     def test_stable_log_no_inf(self):
         assert np.isfinite(stable_log(np.array([0.0]))[0])
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer("t") as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
 
 
 class TestMemoize:
