@@ -17,30 +17,20 @@ Public surface:
 * :func:`render_human` / :func:`render_json` — reporters.
 """
 
-from repro.analysis.engine import (
-    AnalysisResult,
-    FileReport,
-    analyze_source,
-    iter_python_files,
-    run_analysis,
-)
-from repro.analysis.registry import Finding, Rule, all_rules, get_rule, rules_by_family
-from repro.analysis.reporters import render_human, render_json, result_payload
-from repro.analysis.suppressions import SuppressionIndex
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisResult",
-    "FileReport",
-    "Finding",
-    "Rule",
-    "SuppressionIndex",
-    "all_rules",
-    "analyze_source",
-    "get_rule",
-    "iter_python_files",
-    "render_human",
-    "render_json",
-    "result_payload",
-    "rules_by_family",
-    "run_analysis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "AnalysisResult",
+            "FileReport",
+            "analyze_source",
+            "iter_python_files",
+            "run_analysis",
+        ),
+        "registry": ("Finding", "Rule", "all_rules", "get_rule", "rules_by_family"),
+        "reporters": ("render_human", "render_json", "result_payload"),
+        "suppressions": ("SuppressionIndex",),
+    },
+)

@@ -5,30 +5,17 @@ head, general-corpus pre-training and in-domain post-training (the BERT-DK
 analogue of Section 4.2), all cached on disk after first build.
 """
 
-from repro.bert.config import MiniBertConfig
-from repro.bert.corpus import domain_corpus, general_corpus
-from repro.bert.encoder import BertWordEncoder
-from repro.bert.model import BatchEncoding, MiniBert
-from repro.bert.pipeline import PretrainPlan, pretrained_encoder
-from repro.bert.pretrain import MlmConfig, pretrain_mlm
-from repro.bert.tokenizer import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, UNK, WordPieceTokenizer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchEncoding",
-    "BertWordEncoder",
-    "CLS",
-    "MASK",
-    "MiniBert",
-    "MiniBertConfig",
-    "MlmConfig",
-    "PAD",
-    "PretrainPlan",
-    "SEP",
-    "SPECIAL_TOKENS",
-    "UNK",
-    "WordPieceTokenizer",
-    "domain_corpus",
-    "general_corpus",
-    "pretrain_mlm",
-    "pretrained_encoder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("MiniBertConfig",),
+        "corpus": ("domain_corpus", "general_corpus"),
+        "encoder": ("BertWordEncoder",),
+        "model": ("BatchEncoding", "MiniBert"),
+        "pipeline": ("PretrainPlan", "pretrained_encoder"),
+        "pretrain": ("MlmConfig", "pretrain_mlm"),
+        "tokenizer": ("CLS", "MASK", "PAD", "SEP", "SPECIAL_TOKENS", "UNK", "WordPieceTokenizer"),
+    },
+)

@@ -18,10 +18,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.bert.config import MiniBertConfig
-from repro.bert.corpus import domain_corpus, general_corpus
 from repro.bert.encoder import BertWordEncoder
 from repro.bert.model import MiniBert
-from repro.bert.pretrain import MlmConfig, pretrain_mlm
 from repro.bert.tokenizer import WordPieceTokenizer
 from repro.nn.serialization import arrays_to_state, state_to_arrays
 from repro.utils.caching import ArtifactCache, default_cache
@@ -74,6 +72,8 @@ class PretrainPlan:
 
 
 def _train_tokenizer(plan: PretrainPlan) -> WordPieceTokenizer:
+    from repro.bert.corpus import domain_corpus, general_corpus
+
     corpus = general_corpus(plan.general_sentences, seed=plan.seed)
     for domain in ("restaurants", "electronics", "hotels"):
         corpus = corpus + domain_corpus(domain, max(plan.domain_sentences // 3, 50), seed=plan.seed)
@@ -85,6 +85,10 @@ def _train_tokenizer(plan: PretrainPlan) -> WordPieceTokenizer:
 
 
 def _build(plan: PretrainPlan, domain: Optional[str]) -> Dict[str, np.ndarray]:
+    # Imported here: only a cache miss trains, and a served process never does.
+    from repro.bert.corpus import domain_corpus, general_corpus
+    from repro.bert.pretrain import MlmConfig, pretrain_mlm
+
     seeds = SeedSequence(plan.seed).child("bert-pretrain")
     tokenizer = _train_tokenizer(plan)
     # The trained vocab may be smaller than the configured ceiling; size the

@@ -13,45 +13,29 @@ Everything here is deterministic by construction (no clock, no RNG), so a
 transcript fully determines every routing and resolution decision.
 """
 
-from repro.conversation.classify import (
-    ROUTE_CHITCHAT,
-    ROUTE_OBJECTIVE,
-    ROUTE_SUBJECTIVE,
-    ROUTES,
-    ParsedUtterance,
-    QueryClassifier,
-)
-from repro.conversation.coref import CorefBinding, CoreferenceResolver
-from repro.conversation.rewrite import QueryRewriter, RewriteResult
-from repro.conversation.salience import (
-    KIND_ASPECT,
-    KIND_ENTITY,
-    KIND_OPINION,
-    SalienceEntry,
-    SalienceStack,
-)
-from repro.conversation.stage import ConversationStage, ConversationTables, TurnAnalysis
-from repro.conversation.topic_shift import ShiftDecision, TopicShiftDetector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KIND_ASPECT",
-    "KIND_ENTITY",
-    "KIND_OPINION",
-    "ROUTES",
-    "ROUTE_CHITCHAT",
-    "ROUTE_OBJECTIVE",
-    "ROUTE_SUBJECTIVE",
-    "ConversationStage",
-    "ConversationTables",
-    "CorefBinding",
-    "CoreferenceResolver",
-    "ParsedUtterance",
-    "QueryClassifier",
-    "QueryRewriter",
-    "RewriteResult",
-    "SalienceEntry",
-    "SalienceStack",
-    "ShiftDecision",
-    "TopicShiftDetector",
-    "TurnAnalysis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "classify": (
+            "ParsedUtterance",
+            "QueryClassifier",
+            "ROUTES",
+            "ROUTE_CHITCHAT",
+            "ROUTE_OBJECTIVE",
+            "ROUTE_SUBJECTIVE",
+        ),
+        "coref": ("CorefBinding", "CoreferenceResolver"),
+        "rewrite": ("QueryRewriter", "RewriteResult"),
+        "salience": (
+            "KIND_ASPECT",
+            "KIND_ENTITY",
+            "KIND_OPINION",
+            "SalienceEntry",
+            "SalienceStack",
+        ),
+        "stage": ("ConversationStage", "ConversationTables", "TurnAnalysis"),
+        "topic_shift": ("ShiftDecision", "TopicShiftDetector"),
+    },
+)

@@ -12,16 +12,18 @@ two stages are pluggable:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.heuristics import PairingHeuristic
-from repro.core.pairing import PairingClassifier, PairingInstance
 from repro.core.tagger import SequenceTagger
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import LabeledSentence, Review, Span
 from repro.text.labels import labels_to_spans
+
+if TYPE_CHECKING:
+    from repro.core.pairing import PairingClassifier
 
 __all__ = ["Pairer", "HeuristicPairer", "ClassifierPairer", "TagExtractor", "OracleExtractor"]
 
@@ -68,6 +70,9 @@ class ClassifierPairer(Pairer):
         self.threshold = threshold
 
     def pair(self, tokens, aspect_spans, opinion_spans):
+        # Imported here: serving never pairs with the trained classifier.
+        from repro.core.pairing import PairingInstance
+
         if not aspect_spans or not opinion_spans:
             return set()
         candidates = [

@@ -20,19 +20,32 @@ SACCS "adapts to new user needs".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.conversation.classify import ROUTE_SUBJECTIVE, ParsedUtterance
 from repro.core.dialog import DialogSystem
 from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import OracleExtractor, TagExtractor
-from repro.core.fraud import FakeReviewFilter
 from repro.core.filtering import FilterConfig, filter_and_rank
 from repro.core.index import SubjectiveTagIndex
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Entity, Review
 from repro.obs import tracing as obs
 from repro.text.similarity import ConceptualSimilarity
+
+if TYPE_CHECKING:
+    from repro.core.fraud import FakeReviewFilter
 
 __all__ = ["SaccsConfig", "Saccs", "IndexingRound"]
 

@@ -6,72 +6,40 @@ pairing benchmark, simulated crowd annotation, and the Short/Medium/Long
 query sets of the end-to-end evaluation.
 """
 
-from repro.data.crowd import CrowdConfig, CrowdSimulator, SatTable
-from repro.data.dimensions import SubjectiveDimension, dimension_by_name, restaurant_dimensions
-from repro.data.entities import ATTRIBUTE_VALUES, CatalogConfig, generate_catalog
-from repro.data.fraud import FraudCampaign, FraudConfig, inject_fraud
-from repro.data.io import load_world, save_world, sentence_from_dict, sentence_to_dict
-from repro.data.noise import NoiseConfig, apply_noise, corrupt_token
-from repro.data.pairing import PairingDataset, PairingExample, build_pairing_dataset, candidate_pairs
-from repro.data.queries import DIFFICULTY_LEVELS, QueryConfig, SubjectiveQuery, generate_query_sets
-from repro.data.realize import AxisSpec, RealizerConfig, SentenceRealizer, axes_from_dimensions, axes_from_lexicon
-from repro.data.reviews import ReviewConfig, ReviewGenerator
-from repro.data.schema import Entity, LabeledSentence, PairSpan, Review, Span
-from repro.data.semeval import (
-    DATASET_SPECS,
-    DatasetSpec,
-    TaggingDataset,
-    build_all_tagging_datasets,
-    build_tagging_dataset,
-)
-from repro.data.world import World, WorldConfig, build_world
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATTRIBUTE_VALUES",
-    "AxisSpec",
-    "CatalogConfig",
-    "CrowdConfig",
-    "CrowdSimulator",
-    "DATASET_SPECS",
-    "DIFFICULTY_LEVELS",
-    "DatasetSpec",
-    "Entity",
-    "FraudCampaign",
-    "FraudConfig",
-    "LabeledSentence",
-    "NoiseConfig",
-    "PairSpan",
-    "PairingDataset",
-    "PairingExample",
-    "QueryConfig",
-    "RealizerConfig",
-    "Review",
-    "ReviewConfig",
-    "ReviewGenerator",
-    "SatTable",
-    "SentenceRealizer",
-    "Span",
-    "SubjectiveDimension",
-    "SubjectiveQuery",
-    "TaggingDataset",
-    "World",
-    "WorldConfig",
-    "apply_noise",
-    "axes_from_dimensions",
-    "axes_from_lexicon",
-    "build_all_tagging_datasets",
-    "build_pairing_dataset",
-    "build_tagging_dataset",
-    "build_world",
-    "candidate_pairs",
-    "corrupt_token",
-    "dimension_by_name",
-    "generate_catalog",
-    "generate_query_sets",
-    "inject_fraud",
-    "load_world",
-    "restaurant_dimensions",
-    "save_world",
-    "sentence_from_dict",
-    "sentence_to_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "crowd": ("CrowdConfig", "CrowdSimulator", "SatTable"),
+        "dimensions": ("SubjectiveDimension", "dimension_by_name", "restaurant_dimensions"),
+        "entities": ("ATTRIBUTE_VALUES", "CatalogConfig", "generate_catalog"),
+        "fraud": ("FraudCampaign", "FraudConfig", "inject_fraud"),
+        "io": ("load_world", "save_world", "sentence_from_dict", "sentence_to_dict"),
+        "noise": ("NoiseConfig", "apply_noise", "corrupt_token"),
+        "pairing": (
+            "PairingDataset",
+            "PairingExample",
+            "build_pairing_dataset",
+            "candidate_pairs",
+        ),
+        "queries": ("DIFFICULTY_LEVELS", "QueryConfig", "SubjectiveQuery", "generate_query_sets"),
+        "realize": (
+            "AxisSpec",
+            "RealizerConfig",
+            "SentenceRealizer",
+            "axes_from_dimensions",
+            "axes_from_lexicon",
+        ),
+        "reviews": ("ReviewConfig", "ReviewGenerator"),
+        "schema": ("Entity", "LabeledSentence", "PairSpan", "Review", "Span"),
+        "semeval": (
+            "DATASET_SPECS",
+            "DatasetSpec",
+            "TaggingDataset",
+            "build_all_tagging_datasets",
+            "build_tagging_dataset",
+        ),
+        "world": ("World", "WorldConfig", "build_world"),
+    },
+)

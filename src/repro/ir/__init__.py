@@ -4,8 +4,13 @@ Okapi BM25 retrieval, lexicon-driven synonym query expansion (for the paper's
 strengthened IR baseline) and the DCG/NDCG ranking metrics of Eqs. 10–11.
 """
 
-from repro.ir.bm25 import Bm25Index
-from repro.ir.expansion import QueryExpander
-from repro.ir.metrics import dcg, mean_ndcg, ndcg
+from repro._lazy import lazy_exports
 
-__all__ = ["Bm25Index", "QueryExpander", "dcg", "mean_ndcg", "ndcg"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bm25": ("Bm25Index",),
+        "expansion": ("QueryExpander",),
+        "metrics": ("dcg", "mean_ndcg", "ndcg"),
+    },
+)

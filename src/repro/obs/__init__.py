@@ -15,62 +15,38 @@ traces into one weighted flamegraph) and :mod:`repro.obs.slo` (error
 budgets, burn rates and the ok→warn→page alert state machine).
 """
 
-from repro.obs.log import StructuredLogger, get_logger, set_default_stream
-from repro.obs.profile import (
-    diff_profiles,
-    merge_traces,
-    profile_from_store,
-    render_profile,
-    render_profile_diff,
-)
-from repro.obs.render import (
-    build_span_tree,
-    collapsed_stack_values,
-    render_trace,
-    to_collapsed_stacks,
-)
-from repro.obs.slo import SLOMonitor, SLOSpec, default_slos
-from repro.obs.store import TraceStore, trace_summary
-from repro.obs.timeseries import MetricsCollector, TimeSeriesStore
-from repro.obs.tracing import (
-    ActiveSpan,
-    NullTracer,
-    Tracer,
-    annotate,
-    current_group,
-    current_span,
-    record,
-    scope,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActiveSpan",
-    "MetricsCollector",
-    "NullTracer",
-    "SLOMonitor",
-    "SLOSpec",
-    "StructuredLogger",
-    "TimeSeriesStore",
-    "TraceStore",
-    "Tracer",
-    "annotate",
-    "build_span_tree",
-    "collapsed_stack_values",
-    "current_group",
-    "current_span",
-    "default_slos",
-    "diff_profiles",
-    "get_logger",
-    "merge_traces",
-    "profile_from_store",
-    "record",
-    "render_profile",
-    "render_profile_diff",
-    "render_trace",
-    "scope",
-    "set_default_stream",
-    "span",
-    "to_collapsed_stacks",
-    "trace_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "log": ("StructuredLogger", "get_logger", "set_default_stream"),
+        "profile": (
+            "diff_profiles",
+            "merge_traces",
+            "profile_from_store",
+            "render_profile",
+            "render_profile_diff",
+        ),
+        "render": (
+            "build_span_tree",
+            "collapsed_stack_values",
+            "render_trace",
+            "to_collapsed_stacks",
+        ),
+        "slo": ("SLOMonitor", "SLOSpec", "default_slos"),
+        "store": ("TraceStore", "trace_summary"),
+        "timeseries": ("MetricsCollector", "TimeSeriesStore"),
+        "tracing": (
+            "ActiveSpan",
+            "NullTracer",
+            "Tracer",
+            "annotate",
+            "current_group",
+            "current_span",
+            "record",
+            "scope",
+            "span",
+        ),
+    },
+)

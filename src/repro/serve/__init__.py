@@ -15,36 +15,24 @@ JSON-over-HTTP frontend.  Start one with::
 or from the command line: ``repro serve``.
 """
 
-from repro.serve.cache import GenerationalCache, ServingCache
-from repro.serve.http import SaccsHttpServer
-from repro.serve.metrics import MetricsRegistry, percentile
-from repro.serve.protocol import (
-    ProtocolError,
-    ReindexResponse,
-    SayRequest,
-    SayResponse,
-    SearchRequest,
-    SearchResponse,
-    error_payload,
-)
-from repro.serve.runtime import SaccsRuntime, ServeConfig
-from repro.serve.sessions import SessionStore, SessionStoreFull
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GenerationalCache",
-    "MetricsRegistry",
-    "ProtocolError",
-    "ReindexResponse",
-    "SaccsHttpServer",
-    "SaccsRuntime",
-    "SayRequest",
-    "SayResponse",
-    "SearchRequest",
-    "SearchResponse",
-    "ServeConfig",
-    "ServingCache",
-    "SessionStore",
-    "SessionStoreFull",
-    "error_payload",
-    "percentile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("GenerationalCache", "ServingCache"),
+        "http": ("SaccsHttpServer",),
+        "metrics": ("MetricsRegistry", "percentile"),
+        "protocol": (
+            "ProtocolError",
+            "ReindexResponse",
+            "SayRequest",
+            "SayResponse",
+            "SearchRequest",
+            "SearchResponse",
+            "error_payload",
+        ),
+        "runtime": ("RequestQueueFull", "SaccsRuntime", "ServeConfig"),
+        "sessions": ("SessionStore", "SessionStoreFull"),
+    },
+)

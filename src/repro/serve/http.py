@@ -41,7 +41,7 @@ from repro.serve.protocol import (
     SearchRequest,
     error_payload,
 )
-from repro.serve.runtime import SaccsRuntime
+from repro.serve.runtime import RequestQueueFull, SaccsRuntime
 from repro.serve.sessions import SessionStoreFull
 
 __all__ = ["SaccsHttpServer", "make_handler"]
@@ -224,6 +224,11 @@ def make_handler(runtime: SaccsRuntime):
             except SessionStoreFull as exc:
                 runtime.metrics.incr("errors.client")
                 status, payload = 503, error_payload("session_store_full", str(exc))
+            except RequestQueueFull as exc:
+                # A valid request the server could not take: it counts
+                # against availability, not against the client.
+                runtime.metrics.incr("errors.server")
+                status, payload = 503, error_payload("overloaded", str(exc))
             except TimeoutError as exc:
                 runtime.metrics.incr("errors.server")
                 status, payload = 504, error_payload("timeout", str(exc))

@@ -61,8 +61,6 @@ from repro.core.extractor import TagExtractor
 from repro.core.tags import SubjectiveTag
 from repro.obs import tracing as obs
 from repro.obs.log import get_logger
-from repro.obs.profile import diff_profiles, merge_traces, profile_from_store
-from repro.obs.render import build_span_tree
 from repro.obs.slo import SLOMonitor, SLOSpec, default_slos
 from repro.obs.timeseries import MetricsCollector, TimeSeriesStore
 from repro.obs.tracing import NullTracer, Tracer
@@ -72,9 +70,18 @@ from repro.serve.protocol import ProtocolError, ReindexResponse, SayResponse, Se
 from repro.serve.sessions import SessionStore
 from repro.utils.locks import make_lock
 
-__all__ = ["ServeConfig", "SaccsRuntime"]
+__all__ = ["RequestQueueFull", "SaccsRuntime", "ServeConfig"]
 
 _STOP = object()
+
+#: most tag queries the request queue holds.  Each queued query parks the
+#: handler thread that sent it, so the bound caps the threads a burst can
+#: park.  256 is sixteen full batches at the default ``max_batch_size``;
+#: ranking takes well under 1 ms per query on the benchmark (its
+#: ``rank.ms``), so a full queue drains in tens of milliseconds and the bound
+#: refuses work only when the workers are far behind.  The benchmark keeps
+#: at most two requests in flight.
+MAX_QUEUED_REQUESTS = 256
 
 _LOG = get_logger("repro.serve.runtime")
 
@@ -127,6 +134,10 @@ class ServeConfig:
             raise ValueError("collector_interval_seconds must be > 0")
         if self.collector_retention < 1:
             raise ValueError("collector_retention must be >= 1")
+
+
+class RequestQueueFull(RuntimeError):
+    """The request queue holds :data:`MAX_QUEUED_REQUESTS`; answered 503."""
 
 
 class _Pending:
@@ -259,8 +270,8 @@ class SaccsRuntime:
                 # respawn the collector mid-teardown.
                 self.collector.stop()
             self._running = False
-            # Held across put() on purpose: the request queue is
-            # unbounded, so put() is a non-blocking append; holding the
+            # Held across put() on purpose: the request queue has no
+            # maxsize, so put() is a non-blocking append; holding the
             # lifecycle lock over the sentinels is what makes stop()
             # idempotent against a concurrent start().  One per worker:
             # each worker exits on the sentinel it takes first.
@@ -368,6 +379,14 @@ class SaccsRuntime:
                 cached=True,
                 batch_size=0,
                 tags=tag_texts,
+            )
+        # Checked apart from the put below, so handlers racing past the check
+        # together can overshoot the bound by their number.  That is fine for
+        # shedding load; a hard bound (a maxsize queue) would make stop()'s
+        # sentinel puts block on a full queue.
+        if self._queue.qsize() >= MAX_QUEUED_REQUESTS:
+            raise RequestQueueFull(
+                f"request queue full ({MAX_QUEUED_REQUESTS} queued searches); retry later"
             )
         pending = _Pending(tags, top_k, api_entity_ids)
         active = obs.current_span()
@@ -582,6 +601,11 @@ class SaccsRuntime:
         per-trace-normalised delta alongside both halves, which localises
         "it just got slower" to a stage without leaving the endpoint.
         """
+        # Imported here, like build_span_tree in trace_payload: only the
+        # debug endpoints aggregate or render traces, so serving never
+        # loads them.
+        from repro.obs.profile import diff_profiles, merge_traces, profile_from_store
+
         store = self.tracer.store
         if store is None:
             raise ProtocolError(
@@ -623,6 +647,8 @@ class SaccsRuntime:
                 status=404,
                 code="trace_not_found",
             )
+        from repro.obs.render import build_span_tree
+
         return {"trace": trace, "tree": build_span_tree(trace)}
 
     # -------------------------------------------------------------- scheduler

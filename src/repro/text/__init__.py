@@ -7,38 +7,26 @@ a POS lexicon and the chunking constituency parser used by the pairing
 heuristic of Section 5.1.
 """
 
-from repro.text.concepts import ConceptTaxonomy
-from repro.text.lexicon import (
-    AspectConcept,
-    DomainLexicon,
-    OpinionWord,
-    electronics_lexicon,
-    hotel_lexicon,
-    lexicon_for_domain,
-    restaurant_lexicon,
-)
-from repro.text.parser import ChunkParser
-from repro.text.pos import PosLexicon
-from repro.text.similarity import ConceptualSimilarity, TagFeatures
-from repro.text.tokenize import detokenize, word_tokenize
-from repro.text.vocab import TagVocabulary
-from repro.text.tree import ParseNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AspectConcept",
-    "ChunkParser",
-    "ConceptTaxonomy",
-    "ConceptualSimilarity",
-    "DomainLexicon",
-    "OpinionWord",
-    "ParseNode",
-    "PosLexicon",
-    "TagFeatures",
-    "TagVocabulary",
-    "detokenize",
-    "electronics_lexicon",
-    "hotel_lexicon",
-    "lexicon_for_domain",
-    "restaurant_lexicon",
-    "word_tokenize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "concepts": ("ConceptTaxonomy",),
+        "lexicon": (
+            "AspectConcept",
+            "DomainLexicon",
+            "OpinionWord",
+            "electronics_lexicon",
+            "hotel_lexicon",
+            "lexicon_for_domain",
+            "restaurant_lexicon",
+        ),
+        "parser": ("ChunkParser",),
+        "pos": ("PosLexicon",),
+        "similarity": ("ConceptualSimilarity", "TagFeatures"),
+        "tokenize": ("detokenize", "word_tokenize"),
+        "tree": ("ParseNode",),
+        "vocab": ("TagVocabulary",),
+    },
+)

@@ -5,17 +5,14 @@ Labeling functions vote (or abstain) on unlabelled examples; a label model
 votes into training labels for a downstream discriminative classifier.
 """
 
-from repro.weak.analysis import LFSummary, analyse_labeling_functions
-from repro.weak.generative import GenerativeLabelModel
-from repro.weak.lf import ABSTAIN, LabelingFunction, apply_labeling_functions
-from repro.weak.majority import MajorityVoteModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ABSTAIN",
-    "GenerativeLabelModel",
-    "LFSummary",
-    "LabelingFunction",
-    "MajorityVoteModel",
-    "analyse_labeling_functions",
-    "apply_labeling_functions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": ("LFSummary", "analyse_labeling_functions"),
+        "generative": ("GenerativeLabelModel",),
+        "lf": ("ABSTAIN", "LabelingFunction", "apply_labeling_functions"),
+        "majority": ("MajorityVoteModel",),
+    },
+)

@@ -794,6 +794,64 @@ class TestBatcher:
         assert recording.timeouts == []
 
 
+class TestOverload:
+    def test_a_full_queue_answers_503_at_once_and_nothing_hangs(self, monkeypatch):
+        """Past ``MAX_QUEUED_REQUESTS`` queued searches, a search is refused
+        at once with the typed 503 envelope and counted in ``errors.server``;
+        the queued searches still complete once the worker frees up."""
+        import http.client
+        import json
+
+        from repro.serve import SaccsHttpServer, SaccsRuntime
+        from repro.serve import runtime as runtime_module
+
+        monkeypatch.setattr(runtime_module, "MAX_QUEUED_REQUESTS", 2)
+        saccs = _BlockingStubSaccs()
+        runtime = SaccsRuntime(
+            saccs, ServeConfig(workers=1, cache_size=0, collector_enabled=False)
+        )
+        statuses = []
+        workers_before = len(_scheduler_threads())
+
+        def post(text):
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+            try:
+                conn.request("POST", "/search", body=json.dumps({"tags": [text]}))
+                response = conn.getresponse()
+                return response.status, json.loads(response.read())
+            finally:
+                conn.close()
+
+        with SaccsHttpServer(runtime) as server:
+            busy = threading.Thread(target=lambda: statuses.append(post("quiet place")[0]))
+            busy.start()
+            assert saccs.entered.wait(5.0)
+            queued = [
+                threading.Thread(target=lambda t=text: statuses.append(post(t)[0]))
+                for text in ("delicious food", "friendly staff")
+            ]
+            for thread in queued:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while runtime._queue.qsize() < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert runtime._queue.qsize() == 2
+
+            started = time.monotonic()
+            status, payload = post("cheap price")
+            assert time.monotonic() - started < 2.0
+            assert status == 503
+            assert payload["error"]["code"] == "overloaded"
+            assert runtime.metrics.snapshot()["counters"]["errors.server"] == 1
+
+            saccs.release.set()
+            for thread in [busy, *queued]:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        assert statuses == [200, 200, 200]
+        assert len(_scheduler_threads()) == workers_before
+
+
 class TestBackgroundReindex:
     """The zero-downtime rebuild protocol: atomic swap, sweep after, paced."""
 
